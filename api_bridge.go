@@ -129,6 +129,9 @@ func buildOptions(req api.BuildRequest) ([]BuildOption, *api.Error) {
 	if req.MaxGroupSize != 0 {
 		add("WithMaxGroupSize", WithMaxGroupSize(req.MaxGroupSize))
 	}
+	if req.Rows < 0 || req.Cols < 0 {
+		return nil, api.Errorf(api.CodeBadRequest, "build: rows and cols must not be negative, got %dx%d", req.Rows, req.Cols)
+	}
 	if req.Rows != 0 || req.Cols != 0 {
 		add("WithDims", WithDims(req.Rows, req.Cols))
 	}
@@ -165,9 +168,25 @@ func buildOptions(req api.BuildRequest) ([]BuildOption, *api.Error) {
 }
 
 // sampleRequestFaults draws the request's fault mask; dead
-// wavelengths sample from the request's wavelength budget.
+// wavelengths sample from the request's wavelength budget. Negative
+// counts and a negative MRR loss are rejected before fault.Spec sees
+// them.
 func sampleRequestFaults(req api.BuildRequest) (*FaultMask, *api.Error) {
 	fs := req.Faults
+	for _, c := range []struct {
+		name string
+		n    int
+	}{
+		{"nodes", fs.Nodes}, {"transceivers", fs.Transceivers}, {"wavelengths", fs.Wavelengths},
+		{"segments", fs.Segments}, {"mrrs", fs.MRRs},
+	} {
+		if c.n < 0 {
+			return nil, api.Errorf(api.CodeBadRequest, "faults: %s must not be negative, got %d", c.name, c.n)
+		}
+	}
+	if !(fs.MRRLossDB >= 0) {
+		return nil, api.Errorf(api.CodeBadRequest, "faults: mrr_loss_db must not be negative, got %g", fs.MRRLossDB)
+	}
 	if fs.Wavelengths > 0 && req.Wavelengths < 1 {
 		return nil, api.Errorf(api.CodeBadRequest,
 			"faults: sampling %d dead wavelengths needs the request's wavelength budget (set wavelengths)", fs.Wavelengths)

@@ -1,6 +1,7 @@
 package wrht_test
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -77,6 +78,54 @@ func TestServeBuildErrorPaths(t *testing.T) {
 			if tc.message != "" && !strings.Contains(aerr.Message, tc.message) {
 				t.Errorf("message %q does not contain %q", aerr.Message, tc.message)
 			}
+		})
+	}
+}
+
+// Bodies that once panicked inside the facade (and so killed the
+// daemon's request goroutine) must come back as typed bad_request
+// errors from both executors.
+func TestServeRejectsNegativeDimsAndFaults(t *testing.T) {
+	cases := []struct {
+		name, body, message string
+	}{
+		{"negative torus dims", `{"kind":"torus","n":16,"wavelengths":4,"rows":-4,"cols":-4}`, "rows and cols"},
+		{"negative mrr loss", `{"kind":"wrht","n":16,"wavelengths":4,"faults":{"mrrs":3,"mrr_loss_db":-4}}`, "mrr_loss_db"},
+		{"negative segments", `{"kind":"wrht","n":16,"wavelengths":4,"faults":{"segments":-4}}`, "segments"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var req api.BuildRequest
+			dec := json.NewDecoder(strings.NewReader(tc.body))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&req); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			check := func(surface string, call func() *api.Error) {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("%s panicked: %v", surface, p)
+					}
+				}()
+				aerr := call()
+				if aerr == nil {
+					t.Fatalf("%s accepted the body", surface)
+				}
+				if aerr.Code != api.CodeBadRequest || aerr.HTTPStatus() != 400 {
+					t.Errorf("%s: code %q (HTTP %d), want bad_request (400); message %q", surface, aerr.Code, aerr.HTTPStatus(), aerr.Message)
+				}
+				if !strings.Contains(aerr.Message, tc.message) {
+					t.Errorf("%s: message %q does not name %q", surface, aerr.Message, tc.message)
+				}
+			}
+			check("ServeBuild", func() *api.Error {
+				_, aerr := wrht.ServeBuild(req)
+				return aerr
+			})
+			check("ServeSimulate", func() *api.Error {
+				_, aerr := wrht.ServeSimulate(api.SimulateRequest{Backend: "optical", PayloadBytes: 1, Build: req})
+				return aerr
+			})
 		})
 	}
 }

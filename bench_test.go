@@ -440,7 +440,7 @@ func BenchmarkCrossFabric(b *testing.B) {
 	}
 }
 
-// BenchmarkStragglerSensitivity regenerates the DES-mode jitter study
+// BenchmarkStragglerSensitivity regenerates the per-transfer jitter study
 // (a question the paper's deterministic model cannot ask).
 func BenchmarkStragglerSensitivity(b *testing.B) {
 	o := exp.Defaults()

@@ -1,10 +1,9 @@
 // Package cliflags is the one place the repo's CLIs (wrhtsim,
 // trainsim) define their shared observability and output flags:
-// -workers, -json, -trace, -metrics, -metrics-format, -prom and
-// -promaddr. Each command registers the subset it supports, then uses
-// the same validation, registry/tracer construction and exit-time
-// sink writes — so flag names, help text and behavior cannot drift
-// between binaries.
+// -workers, -json, -trace, -metrics, -prom and -promaddr. Each command
+// registers the subset it supports, then uses the same registry/tracer
+// construction and exit-time sink writes — so flag names, help text
+// and behavior cannot drift between binaries.
 package cliflags
 
 import (
@@ -24,7 +23,7 @@ const (
 	JSON
 	// Trace is -trace, the Perfetto timeline path.
 	Trace
-	// Metrics is -metrics plus -metrics-format.
+	// Metrics is -metrics, the exit-time exposition file.
 	Metrics
 	// Prom is -prom, the Prometheus exposition file.
 	Prom
@@ -35,19 +34,18 @@ const (
 // Flags holds the parsed values. Fields for unregistered flags stay
 // zero.
 type Flags struct {
-	Workers       int
-	JSONOut       string
-	TracePath     string
-	MetricsPath   string
-	MetricsFormat string
-	PromPath      string
-	PromAddr      string
+	Workers     int
+	JSONOut     string
+	TracePath   string
+	MetricsPath string
+	PromPath    string
+	PromAddr    string
 }
 
 // Register adds the selected flags to fs and returns the destination
 // struct, populated once fs is parsed.
 func Register(fs *flag.FlagSet, have Set) *Flags {
-	f := &Flags{MetricsFormat: "prom"}
+	f := &Flags{}
 	if have&Workers != 0 {
 		fs.IntVar(&f.Workers, "workers", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 	}
@@ -58,8 +56,7 @@ func Register(fs *flag.FlagSet, have Set) *Flags {
 		fs.StringVar(&f.TracePath, "trace", "", "write a Perfetto trace (Chrome Trace Event JSON) to this file")
 	}
 	if have&Metrics != 0 {
-		fs.StringVar(&f.MetricsPath, "metrics", "", "write the metric registry to this file on exit (- for stdout; format per -metrics-format)")
-		fs.StringVar(&f.MetricsFormat, "metrics-format", "prom", "-metrics serialization: prom (Prometheus text exposition) or legacy (sorted name/value lines, .json for a JSON snapshot)")
+		fs.StringVar(&f.MetricsPath, "metrics", "", "write the metric registry as Prometheus text exposition to this file on exit (- for stdout)")
 	}
 	if have&Prom != 0 {
 		fs.StringVar(&f.PromPath, "prom", "", "write the Prometheus text exposition to this file on exit (- for stdout)")
@@ -68,15 +65,6 @@ func Register(fs *flag.FlagSet, have Set) *Flags {
 		fs.StringVar(&f.PromAddr, "promaddr", "", "serve /metrics (Prometheus text) and /debug/pprof on this address for the run's duration (e.g. :9090)")
 	}
 	return f
-}
-
-// Validate rejects value combinations the flags cannot express.
-func (f *Flags) Validate() error {
-	switch f.MetricsFormat {
-	case "", "prom", "legacy":
-		return nil
-	}
-	return fmt.Errorf("unknown metrics format %q (want prom or legacy)", f.MetricsFormat)
 }
 
 // NewTracer returns a tracer when -trace was given, nil otherwise.
@@ -109,20 +97,14 @@ func (f *Flags) WriteTrace(tr *obs.Tracer) error {
 	return nil
 }
 
-// WriteMetrics writes the exit-time metric sinks: -metrics in the
-// selected format, then the -prom exposition. No-op on a nil registry.
+// WriteMetrics writes the exit-time metric sinks, -metrics then -prom,
+// both as the Prometheus exposition. No-op on a nil registry.
 func (f *Flags) WriteMetrics(reg *obs.Registry) error {
 	if reg == nil {
 		return nil
 	}
 	if f.MetricsPath != "" {
-		var err error
-		if f.MetricsFormat == "legacy" {
-			err = reg.WriteFile(f.MetricsPath)
-		} else {
-			err = reg.ExposeFile(f.MetricsPath)
-		}
-		if err != nil {
+		if err := reg.ExposeFile(f.MetricsPath); err != nil {
 			return fmt.Errorf("writing %s: %w", f.MetricsPath, err)
 		}
 		if f.MetricsPath != "-" {

@@ -12,10 +12,9 @@
 //
 // -trace writes a Perfetto timeline of the simulated epoch (one trace
 // process per workload, a few sample workers plus the all-reduce
-// track); -metrics dumps per-workload epoch gauges on exit, by default
-// in the Prometheus text exposition format (-metrics-format=legacy for
-// the old name/value dump); -prom writes the Prometheus exposition to
-// a file regardless of -metrics. The observability flags are shared
+// track); -metrics dumps per-workload epoch gauges on exit in the
+// Prometheus text exposition format; -prom writes the same exposition
+// to a file regardless of -metrics. The observability flags are shared
 // with wrhtsim via cmd/internal/cliflags, so names and semantics match
 // across the CLIs.
 package main
@@ -46,9 +45,6 @@ func main() {
 	)
 	shared := cliflags.Register(flag.CommandLine, cliflags.Trace|cliflags.Metrics|cliflags.Prom)
 	flag.Parse()
-	if err := shared.Validate(); err != nil {
-		log.Fatal(err)
-	}
 
 	tr := shared.NewTracer()
 	reg := shared.NewRegistry()

@@ -62,11 +62,9 @@
 // across runs; for the figure sweeps a wall-clock diagnostic of the
 // worker pool.
 //
-// -metrics dumps the metric registry on exit ("-" for stdout), by
-// default in the Prometheus text exposition format;
-// -metrics-format=legacy restores the old sorted name/value dump (a
-// .json suffix for a JSON snapshot). -prom writes the Prometheus
-// exposition to a file regardless of -metrics, and -promaddr serves
+// -metrics dumps the metric registry on exit ("-" for stdout) in the
+// Prometheus text exposition format. -prom writes the same exposition
+// to a file regardless of -metrics, and -promaddr serves
 // /metrics (append ?reset=1 for snapshot-and-reset delta scrapes) plus
 // net/http/pprof for the run's duration:
 //
@@ -209,26 +207,25 @@ func main() {
 		defer f.Close()
 	}
 	code := run(runConfig{
-		cmd:           cmdArg,
-		nSet:          nSet,
-		granularity:   *gran,
-		workers:       shared.Workers,
-		jsonOut:       shared.JSONOut,
-		n:             *schedN,
-		w:             *schedW,
-		m:             *schedM,
-		payloadMB:     *payloadMB,
-		stream:        *stream,
-		memstats:      *memstats,
-		passes:        *passSpec,
-		check:         *check,
-		planR:         *planR,
-		planA:         *planA,
-		tracePath:     shared.TracePath,
-		metricsPath:   shared.MetricsPath,
-		metricsFormat: shared.MetricsFormat,
-		promPath:      shared.PromPath,
-		promAddr:      shared.PromAddr,
+		cmd:         cmdArg,
+		nSet:        nSet,
+		granularity: *gran,
+		workers:     shared.Workers,
+		jsonOut:     shared.JSONOut,
+		n:           *schedN,
+		w:           *schedW,
+		m:           *schedM,
+		payloadMB:   *payloadMB,
+		stream:      *stream,
+		memstats:    *memstats,
+		passes:      *passSpec,
+		check:       *check,
+		planR:       *planR,
+		planA:       *planA,
+		tracePath:   shared.TracePath,
+		metricsPath: shared.MetricsPath,
+		promPath:    shared.PromPath,
+		promAddr:    shared.PromAddr,
 	})
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile()
@@ -274,10 +271,6 @@ type runConfig struct {
 	planR, planA string
 	tracePath    string
 	metricsPath  string
-	// metricsFormat selects the -metrics serialization: "prom" (default,
-	// Prometheus text exposition) or "legacy" (the pre-exposition dump:
-	// sorted name/value lines, or a JSON snapshot for .json paths).
-	metricsFormat string
 	// promPath writes the Prometheus exposition to a file on exit;
 	// promAddr serves /metrics and /debug/pprof over HTTP for the run's
 	// duration.
@@ -308,17 +301,12 @@ func run(cfg runConfig) int {
 		}
 	}
 	sink := cliflags.Flags{
-		Workers:       cfg.workers,
-		JSONOut:       cfg.jsonOut,
-		TracePath:     cfg.tracePath,
-		MetricsPath:   cfg.metricsPath,
-		MetricsFormat: cfg.metricsFormat,
-		PromPath:      cfg.promPath,
-		PromAddr:      cfg.promAddr,
-	}
-	if err := sink.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "wrhtsim: %v\n", err)
-		return 2
+		Workers:     cfg.workers,
+		JSONOut:     cfg.jsonOut,
+		TracePath:   cfg.tracePath,
+		MetricsPath: cfg.metricsPath,
+		PromPath:    cfg.promPath,
+		PromAddr:    cfg.promAddr,
 	}
 	o.Metrics = sink.NewRegistry()
 	if cfg.promAddr != "" {

@@ -5,7 +5,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
+
+	"wrht/internal/obs"
 )
 
 // traceRun drives run() the way CI does, capturing the trace and
@@ -13,26 +17,22 @@ import (
 func traceRun(t *testing.T, dir, tag string) (trace, metrics []byte) {
 	t.Helper()
 	tracePath := filepath.Join(dir, "trace-"+tag+".json")
-	metricsPath := filepath.Join(dir, "metrics-"+tag+".json")
+	metricsPath := filepath.Join(dir, "metrics-"+tag+".prom")
 	old := os.Stdout
 	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	os.Stdout = null
-	// metricsFormat "legacy" is deliberate: this test parses the JSON
-	// snapshot, which only the legacy escape hatch still emits — it IS
-	// the coverage for -metrics-format=legacy.
 	code := run(runConfig{
-		cmd:           "crossfabric",
-		granularity:   "fused",
-		workers:       1,
-		n:             64,
-		w:             64,
-		payloadMB:     10,
-		tracePath:     tracePath,
-		metricsPath:   metricsPath,
-		metricsFormat: "legacy",
+		cmd:         "crossfabric",
+		granularity: "fused",
+		workers:     1,
+		n:           64,
+		w:           64,
+		payloadMB:   10,
+		tracePath:   tracePath,
+		metricsPath: metricsPath,
 	})
 	os.Stdout = old
 	null.Close()
@@ -87,21 +87,35 @@ func TestCrossFabricTraceValidates(t *testing.T) {
 		}
 	}
 
-	var snap struct {
-		Counters map[string]int64 `json:"counters"`
+	if err := obs.ValidateExposition(rawMetrics); err != nil {
+		t.Fatalf("-metrics exposition does not lint: %v", err)
 	}
-	if err := json.Unmarshal(rawMetrics, &snap); err != nil {
-		t.Fatalf("metrics are not valid JSON: %v", err)
+	counters := exposedSamples(rawMetrics)
+	if counters["fabric_steps"] == 0 || counters["fabric_circuits_reserved"] == 0 {
+		t.Errorf("fabric counters empty: %v", counters)
 	}
-	if snap.Counters["fabric.steps"] == 0 || snap.Counters["fabric.circuits.reserved"] == 0 {
-		t.Errorf("fabric counters empty: %v", snap.Counters)
-	}
-	if snap.Counters["fabric.overlap.boundaries_hidden"] == 0 {
-		t.Errorf("no overlap-hidden boundaries at w=64: %v", snap.Counters)
+	if counters["fabric_overlap_boundaries_hidden"] == 0 {
+		t.Errorf("no overlap-hidden boundaries at w=64: %v", counters)
 	}
 
 	again, _ := traceRun(t, dir, "b")
 	if !bytes.Equal(raw, again) {
 		t.Fatal("crossfabric trace differs between identical runs")
 	}
+}
+
+// exposedSamples maps each unlabeled sample line of a Prometheus text
+// exposition ("name value") to its value.
+func exposedSamples(b []byte) map[string]float64 {
+	out := map[string]float64{}
+	for _, line := range strings.Split(string(b), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") || strings.Contains(name, "{") {
+			continue
+		}
+		if v, err := strconv.ParseFloat(val, 64); err == nil {
+			out[name] = v
+		}
+	}
+	return out
 }

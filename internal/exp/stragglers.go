@@ -7,14 +7,14 @@ import (
 	"wrht/internal/collective"
 	"wrht/internal/core"
 	"wrht/internal/dnn"
+	"wrht/internal/fabric"
 	"wrht/internal/metrics"
-	"wrht/internal/optical"
 )
 
 // Stragglers studies a question the paper's deterministic model cannot
 // ask: how sensitive is each all-reduce to per-circuit jitter? Every
-// transfer's duration is multiplied by (1 + |N(0, sigma)|) in the
-// event-driven simulator, and because steps are barriers, an algorithm
+// transfer's duration is multiplied by (1 + |N(0, sigma)|) on a
+// jittered optical ring, and because steps are barriers, an algorithm
 // with many small steps (Ring) absorbs jitter differently from one with
 // few large steps (WRHT): Ring pays max-of-N on every one of its 2(N−1)
 // steps but each straggle is small, while WRHT pays max-of-N on 3 steps
@@ -33,20 +33,28 @@ func Stragglers(o Options, model dnn.Model, n, w int, sigma float64, trials int,
 	}
 	scheds = append(scheds, collective.BuildRing(n), collective.BuildBT(n))
 	rng := rand.New(rand.NewSource(seed))
+	clean, err := o.Optical.Fabric()
+	if err != nil {
+		return nil, fmt.Errorf("exp: stragglers: %w", err)
+	}
+	jittered, err := o.Optical.JitteredFabric(func(nominal float64) float64 {
+		f := rng.NormFloat64() * sigma
+		if f < 0 {
+			f = -f
+		}
+		return nominal * (1 + f)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("exp: stragglers: %w", err)
+	}
 	for _, s := range scheds {
-		clean, err := optical.RunScheduleDES(o.Optical, s, d, nil)
+		base, err := fabric.Engine{Fabric: clean}.RunSchedule(s, d)
 		if err != nil {
 			return nil, fmt.Errorf("exp: stragglers (%s): %w", s.Algorithm, err)
 		}
 		var sum float64
 		for tr := 0; tr < trials; tr++ {
-			res, err := optical.RunScheduleDES(o.Optical, s, d, func(_, _ int, nominal float64) float64 {
-				f := rng.NormFloat64() * sigma
-				if f < 0 {
-					f = -f
-				}
-				return nominal * (1 + f)
-			})
+			res, err := fabric.Engine{Fabric: jittered}.RunSchedule(s, d)
 			if err != nil {
 				return nil, fmt.Errorf("exp: stragglers (%s, trial %d): %w", s.Algorithm, tr, err)
 			}
@@ -54,9 +62,9 @@ func Stragglers(o Options, model dnn.Model, n, w int, sigma float64, trials int,
 		}
 		mean := sum / float64(trials)
 		t.AddRow(s.Algorithm,
-			fmt.Sprintf("%.2f", clean.Time*1e3),
+			fmt.Sprintf("%.2f", base.Time*1e3),
 			fmt.Sprintf("%.2f", mean*1e3),
-			fmt.Sprintf("%.3fx", mean/clean.Time))
+			fmt.Sprintf("%.3fx", mean/base.Time))
 	}
 	return t, nil
 }

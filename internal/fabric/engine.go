@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"fmt"
-	"math"
 
 	"wrht/internal/core"
 	"wrht/internal/rwa"
@@ -108,7 +107,7 @@ func (e Engine) RunSchedule(s *core.Schedule, dBytes float64) (Result, error) {
 	if e.Opts.Overlap && bd != nil && len(bd) != max(s.NumSteps()-1, 0) {
 		return Result{}, fmt.Errorf("fabric: BoundaryDisjoint carries %d boundaries for a %d-step schedule", len(bd), s.NumSteps())
 	}
-	res := Result{Fabric: f.Name(), Algorithm: s.Algorithm, Steps: s.NumSteps()}
+	res := Result{Fabric: f.Name(), Algorithm: s.Algorithm}
 	if err := e.timeSteps(s.Source(), elems, nil, &res); err != nil {
 		return Result{}, err
 	}
@@ -160,83 +159,25 @@ func (e Engine) RunStream(src core.StepSource, dBytes float64) (Result, error) {
 	return res, nil
 }
 
-// timeSteps drains src through the per-step cost/overlap/observer
-// accounting shared by RunSchedule and RunStream, accumulating into
-// res (Steps included). v, when non-nil, validates each step before it
-// is timed. The previous step is retained in a reused copy buffer only
-// when the overlap probe needs it (Overlap set without
-// BoundaryDisjoint), keeping the streamed path's live set to at most
-// two steps.
+// timeSteps drains src through the step-cost Fold shared by RunSchedule
+// and RunStream (and by RunScheduleFaulted and the all-to-all planner),
+// accumulating into res. v, when non-nil, validates each step before it
+// is timed.
 func (e Engine) timeSteps(src core.StepSource, elems int, v *core.StepValidator, res *Result) error {
-	f := e.Fabric
-	bd := e.Opts.BoundaryDisjoint
-	ring := src.Ring()
-	var memo map[string]StepCost
-	var probe *rwa.Probe
-	var prevTransmit float64
-	var prev core.Step
-	keepPrev := e.Opts.Overlap && bd == nil
-	for k := 0; ; k++ {
+	fd := Fold{Engine: e}
+	fd.Reset(src.Ring())
+	for {
 		stp, ok := src.Next()
 		if !ok {
 			return nil
 		}
-		st := *stp
 		if v != nil {
 			if err := v.Step(stp); err != nil {
 				return err
 			}
 		}
-		var c StepCost
-		if key, ok := f.StepKey(st, elems); ok {
-			if memo == nil {
-				memo = make(map[string]StepCost)
-			}
-			c, ok = memo[key]
-			if !ok {
-				c = f.StepCost(st, elems)
-				memo[key] = c
-			}
-		} else {
-			c = f.StepCost(st, elems)
-		}
-		var hidden float64
-		if e.Opts.Overlap && k > 0 && c.Setup > 0 && prevTransmit > 0 {
-			disjoint := false
-			if bd != nil {
-				if k-1 >= len(bd) {
-					return fmt.Errorf("fabric: BoundaryDisjoint carries %d boundaries but the stream has more steps", len(bd))
-				}
-				disjoint = bd[k-1]
-			} else {
-				if probe == nil {
-					probe = rwa.NewProbe(ring)
-				}
-				disjoint = StepsDisjoint(probe, ring, prev, st, e.Opts.RWAStats)
-			}
-			if disjoint {
-				hidden = math.Min(c.Setup, prevTransmit)
-			}
-		}
-		if e.Opts.Observer != nil {
-			e.Opts.Observer.StepExecuted(StepEvent{
-				Index: k, Start: res.Time, Step: stp,
-				Cost: c, Hidden: hidden, Elems: elems,
-			})
-		}
-		res.Time += c.Total - hidden
-		res.TransferTime += c.Serialization + c.OEO
-		res.OverheadTime += c.Setup
-		res.RouterTime += c.RouterDelay
-		res.OverlapSaved += hidden
-		res.PerStep = append(res.PerStep, StepReport{Phase: st.Phase, Cost: c, Overlapped: hidden})
-		prevTransmit = c.Transmission()
-		if keepPrev {
-			prev.Phase = st.Phase
-			prev.Transfers = append(prev.Transfers[:0], st.Transfers...)
-		}
-		if k >= res.Steps {
-			res.Steps = k + 1
+		if err := fd.Step(res, stp, elems); err != nil {
+			return err
 		}
 	}
 }

@@ -411,3 +411,67 @@ func TestRunScheduleRejectsGarbagePayloadSizes(t *testing.T) {
 		}
 	}
 }
+
+// A Fold reused across Reset and Restart calls, as the planner reuses
+// it, must reproduce the engine's result on every sequence: Reset
+// empties the StepKey memo, Restart keeps it, and with the caller's
+// PerStep buffer recycled the steady state allocates nothing (the probe
+// is pooled).
+func TestFoldReuseAcrossResets(t *testing.T) {
+	s := manyBoundarySchedule()
+	const d = 400
+	elems, err := core.ElemsOf(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, keyed := range []bool{false, true} {
+		f := &stubFabric{setup: 1, perByte: 0.1, keyed: keyed}
+		eng := Engine{Fabric: f, Opts: Options{Overlap: true}}
+		want, err := eng.RunSchedule(s, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fd := Fold{Engine: eng}
+		var res Result
+		fold := func() {
+			res = Result{Fabric: want.Fabric, Algorithm: want.Algorithm, PerStep: res.PerStep[:0]}
+			for k := range s.Steps {
+				if err := fd.Step(&res, &s.Steps[k], elems); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		run := func() {
+			fd.Reset(s.Ring)
+			fold()
+		}
+		for i := 0; i < 2; i++ {
+			f.costCalls = 0
+			run()
+			if !reflect.DeepEqual(res, want) {
+				t.Fatalf("keyed=%v run %d: fold %+v != engine %+v", keyed, i, res, want)
+			}
+			if f.costCalls != len(s.Steps) {
+				t.Errorf("keyed=%v run %d: %d StepCost calls for %d distinct steps (memo not reset?)", keyed, i, f.costCalls, len(s.Steps))
+			}
+		}
+		f.costCalls = 0
+		fd.Restart()
+		fold()
+		if !reflect.DeepEqual(res, want) {
+			t.Fatalf("keyed=%v after Restart: fold %+v != engine %+v", keyed, res, want)
+		}
+		wantCalls := len(s.Steps)
+		if keyed {
+			wantCalls = 0
+		}
+		if f.costCalls != wantCalls {
+			t.Errorf("keyed=%v after Restart: %d StepCost calls, want %d (memo must carry over)", keyed, f.costCalls, wantCalls)
+		}
+		if !keyed {
+			if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+				t.Errorf("reused fold allocates %.0f times per run, want 0", allocs)
+			}
+		}
+	}
+}

@@ -19,7 +19,8 @@
 // whenever the two steps' (direction, wavelength) circuits are disjoint
 // under the internal/rwa conflict model, hiding up to
 // min(setup, transmission) per boundary and therefore at most (θ−1)·a
-// in total. See engine.go for the execution loop.
+// in total. fold.go holds the one per-step accumulation (Fold) that the
+// engine, fault-restart runs and the all-to-all planner share.
 package fabric
 
 import "wrht/internal/core"

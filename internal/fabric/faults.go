@@ -114,12 +114,15 @@ func (e Engine) RunScheduleFaulted(s *core.Schedule, dBytes float64, fo FaultOpt
 		return FaultResult{}, fmt.Errorf("fabric: %w", err)
 	}
 	res := FaultResult{Result: Result{Fabric: f.Name(), Algorithm: s.Algorithm}}
-	var memo map[string]StepCost
-	g := 0 // global executed-step counter: the injector's clock
+	fd := Fold{Engine: e}
+	fd.Reset(s.Ring)
 	next := 0
 	for {
 		restarted := false
 		for k := 0; k < len(s.Steps); k++ {
+			// res.Steps is the global executed-step count: the
+			// injector's clock and the observer's step index.
+			g := res.Steps
 			for next < fo.Injector.Len() && fo.Injector.At(next).Step <= g {
 				mask.Apply(fo.Injector.At(next).Fault)
 				res.FaultsApplied++
@@ -147,36 +150,13 @@ func (e Engine) RunScheduleFaulted(s *core.Schedule, dBytes float64, fo FaultOpt
 				}
 				s = ns
 				res.Algorithm = s.Algorithm
+				fd.Restart()
 				restarted = true
 				break
 			}
-			st := s.Steps[k]
-			var c StepCost
-			if key, ok := f.StepKey(st, elems); ok {
-				if memo == nil {
-					memo = make(map[string]StepCost)
-				}
-				c, ok = memo[key]
-				if !ok {
-					c = f.StepCost(st, elems)
-					memo[key] = c
-				}
-			} else {
-				c = f.StepCost(st, elems)
+			if err := fd.Step(&res.Result, &s.Steps[k], elems); err != nil {
+				return FaultResult{}, err
 			}
-			if e.Opts.Observer != nil {
-				e.Opts.Observer.StepExecuted(StepEvent{
-					Index: g, Start: res.Time, Step: &s.Steps[k],
-					Cost: c, Hidden: 0, Elems: elems,
-				})
-			}
-			res.Time += c.Total
-			res.TransferTime += c.Serialization + c.OEO
-			res.OverheadTime += c.Setup
-			res.RouterTime += c.RouterDelay
-			res.PerStep = append(res.PerStep, StepReport{Phase: st.Phase, Cost: c})
-			res.Steps++
-			g++
 		}
 		if !restarted {
 			return res, nil

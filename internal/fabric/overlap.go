@@ -18,7 +18,7 @@ import (
 // rejects the boundary, falling back to the sequential setup-then-
 // transmit behaviour for that step.
 
-// StepsDisjoint reports whether steps a and b can have their circuits up
+// stepsDisjoint reports whether steps a and b can have their circuits up
 // simultaneously: the pooled request set of both steps must be
 // conflict-free under the rwa model. The probe's index and buffers are
 // reused across calls, so a single probe serves every boundary of an
@@ -27,7 +27,7 @@ import (
 // boundary (the allocation profile is pinned by
 // TestOverlapProbeReusesAllocations). stats, when non-nil, accumulates
 // the probe counters.
-func StepsDisjoint(pb *rwa.Probe, ring topo.Ring, a, b core.Step, stats *rwa.Stats) bool {
+func stepsDisjoint(pb *rwa.Probe, ring topo.Ring, a, b core.Step, stats *rwa.Stats) bool {
 	pb.Begin(len(a.Transfers) + len(b.Transfers))
 	for _, st := range [2]core.Step{a, b} {
 		for _, t := range st.Transfers {

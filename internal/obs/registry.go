@@ -3,7 +3,7 @@
 // simulated time, and a registry of named counters and gauges.
 //
 // Everything here is zero-cost when disabled. Producers (the fabric
-// engine, the DES kernel, the sweep engine, the training timeline) take
+// engine, the sweep engine, the training timeline) take
 // a nil-able observer/tracer/registry; a nil value is one pointer
 // comparison on the hot path and no allocations, pinned by
 // BenchmarkEngineNilObserver in internal/fabric.
@@ -17,13 +17,8 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"math"
-	"os"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -237,66 +232,4 @@ func (r *Registry) snapshot(reset bool) Snapshot {
 	}
 	sort.Strings(s.Volatile)
 	return s
-}
-
-// WriteText writes the snapshot as sorted "name value" lines — the
-// legacy dump format kept behind the CLIs' -metrics-format=legacy
-// escape hatch (Expose is the canonical serialization). Histograms are
-// summarized as .count/.sum/.p50/.p99/.max lines.
-func (r *Registry) WriteText(w io.Writer) error {
-	s := r.Snapshot()
-	lines := make([]string, 0, len(s.Counters)+len(s.Gauges)+5*len(s.Histograms))
-	for name, v := range s.Counters {
-		lines = append(lines, fmt.Sprintf("%s %d", name, v))
-	}
-	for name, v := range s.Gauges {
-		lines = append(lines, fmt.Sprintf("%s %g", name, v))
-	}
-	for name, h := range s.Histograms {
-		lines = append(lines,
-			fmt.Sprintf("%s.count %d", name, h.Count),
-			fmt.Sprintf("%s.sum %g", name, h.Sum),
-			fmt.Sprintf("%s.p50 %g", name, h.Quantile(0.5)),
-			fmt.Sprintf("%s.p99 %g", name, h.Quantile(0.99)),
-			fmt.Sprintf("%s.max %g", name, h.Max))
-	}
-	sort.Strings(lines)
-	for _, l := range lines {
-		if _, err := fmt.Fprintln(w, l); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteJSON writes the snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(r.Snapshot(), "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
-// WriteFile dumps the metrics to path: JSON when the path ends in
-// ".json", text lines otherwise. A path of "-" writes text to stdout.
-func (r *Registry) WriteFile(path string) error {
-	if path == "-" {
-		return r.WriteText(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".json") {
-		err = r.WriteJSON(f)
-	} else {
-		err = r.WriteText(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -68,3 +68,42 @@ func (f ringFabric) StepCost(st core.Step, elems int) fabric.StepCost {
 // StepKey disables memoization: the closed-form step cost is cheaper
 // than hashing the step.
 func (f ringFabric) StepKey(core.Step, int) (string, bool) { return "", false }
+
+// TransferDelay perturbs one circuit's transfer: it receives the
+// nominal serialization plus O/E/O time and returns the duration to
+// charge. Negative results are clamped to zero.
+type TransferDelay func(nominal float64) float64
+
+// jitteredFabric is the ring with every circuit's transfer time passed
+// through a TransferDelay (straggler and jitter injection): a step
+// lasts the reconfiguration delay plus its slowest perturbed circuit.
+// StepKey stays disabled (inherited from ringFabric), so every step's
+// transfers are perturbed exactly once, in schedule and transfer order.
+type jitteredFabric struct {
+	ringFabric
+	delay TransferDelay
+}
+
+// JitteredFabric returns the optical ring with each transfer's duration
+// perturbed by delay, for fabric.Engine. The identity delay reproduces
+// Fabric() bit for bit.
+func (p Params) JitteredFabric(delay TransferDelay) (fabric.Fabric, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
+	return jitteredFabric{ringFabric: ringFabric{p: p}, delay: delay}, nil
+}
+
+func (f jitteredFabric) StepCost(st core.Step, elems int) fabric.StepCost {
+	c := f.ringFabric.StepCost(st, elems)
+	var worst float64
+	for _, t := range st.Transfers {
+		worst = max(worst, f.delay(f.p.transferTime(float64(t.Chunk.Bytes(elems)))))
+	}
+	// The perturbed critical circuit need not be the largest one; the
+	// step's excess over nominal is booked as serialization so the
+	// components still add up to the transmission.
+	c.Serialization += worst - (c.Serialization + c.OEO)
+	c.Total = f.p.ReconfigDelay + worst
+	return c
+}

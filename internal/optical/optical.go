@@ -16,7 +16,6 @@ import (
 	"math"
 
 	"wrht/internal/core"
-	"wrht/internal/fabric"
 )
 
 // Params holds the optical-system parameters of Table 2.
@@ -91,48 +90,6 @@ func (p Params) transferParts(bytes float64) (ser, oeo float64) {
 func (p Params) transferTime(bytes float64) float64 {
 	ser, oeo := p.transferParts(bytes)
 	return ser + oeo
-}
-
-// StepReport records the simulated timing of one step.
-type StepReport struct {
-	Phase    core.Phase
-	Duration float64 // seconds, including the reconfiguration delay
-	MaxBytes float64 // payload of the critical circuit
-}
-
-// Result is the outcome of simulating one collective.
-type Result struct {
-	Algorithm string
-	Steps     int
-	// Time is the total communication time in seconds (Eq 6 for
-	// constant-payload schedules).
-	Time float64
-	// TransferTime and OverheadTime split Time into the serialization
-	// component (d·θ/B) and the per-step component (a·θ).
-	TransferTime float64
-	OverheadTime float64
-	// PerStep is the per-step breakdown (only populated by schedule runs,
-	// not profile runs).
-	PerStep []StepReport
-}
-
-// fromFabric converts an engine result to the legacy optical result.
-func fromFabric(r fabric.Result) Result {
-	res := Result{
-		Algorithm:    r.Algorithm,
-		Steps:        r.Steps,
-		Time:         r.Time,
-		TransferTime: r.TransferTime,
-		OverheadTime: r.OverheadTime,
-	}
-	for _, sr := range r.PerStep {
-		res.PerStep = append(res.PerStep, StepReport{
-			Phase:    sr.Phase,
-			Duration: sr.Duration(),
-			MaxBytes: sr.Cost.MaxBytes,
-		})
-	}
-	return res
 }
 
 // FeasibleWavelengths reports whether the profile's per-step wavelength

@@ -9,6 +9,52 @@ import (
 	"wrht/internal/fabric"
 )
 
+// StepReport and Result are the legacy (pre-engine) outcome shapes,
+// kept test-side so the parity oracles below can compare field by field
+// now that no production path returns them.
+
+// StepReport records the simulated timing of one step.
+type StepReport struct {
+	Phase    core.Phase
+	Duration float64 // seconds, including the reconfiguration delay
+	MaxBytes float64 // payload of the critical circuit
+}
+
+// Result is the outcome of simulating one collective.
+type Result struct {
+	Algorithm string
+	Steps     int
+	// Time is the total communication time in seconds (Eq 6 for
+	// constant-payload schedules).
+	Time float64
+	// TransferTime and OverheadTime split Time into the serialization
+	// component (d·θ/B) and the per-step component (a·θ).
+	TransferTime float64
+	OverheadTime float64
+	// PerStep is the per-step breakdown (only populated by schedule runs,
+	// not profile runs).
+	PerStep []StepReport
+}
+
+// fromFabric converts an engine result to the legacy optical result.
+func fromFabric(r fabric.Result) Result {
+	res := Result{
+		Algorithm:    r.Algorithm,
+		Steps:        r.Steps,
+		Time:         r.Time,
+		TransferTime: r.TransferTime,
+		OverheadTime: r.OverheadTime,
+	}
+	for _, sr := range r.PerStep {
+		res.PerStep = append(res.PerStep, StepReport{
+			Phase:    sr.Phase,
+			Duration: sr.Duration(),
+			MaxBytes: sr.Cost.MaxBytes,
+		})
+	}
+	return res
+}
+
 // The legacy* functions below reproduce the pre-engine simulator loops
 // verbatim (operation order included) so the parity tests can assert
 // that fabric.Engine over Params.Fabric — the only execution path now

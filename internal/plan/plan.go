@@ -5,22 +5,22 @@
 // into an extra round — and this package prices every candidate on the
 // actual fabric and picks the argmin for the payload at hand.
 //
-// The pricing deliberately mirrors fabric.Engine's accumulation
-// statement for statement: each step is charged Fabric.StepCost, and in
-// overlap mode a step whose circuits are rwa-disjoint from its
-// predecessor's hides min(setup, previous transmission). A plan's
-// Predicted time therefore equals the engine's simulated time for the
-// same steps exactly, which the cross-check gate (wrhtsim plan -check,
-// exp.PlanSweep) asserts over the (r, w, a) grid.
+// Pricing runs each candidate's steps through fabric.Fold, the same
+// step-cost accumulation fabric.Engine executes: each step is charged
+// Fabric.StepCost, and in overlap mode a step whose circuits are
+// rwa-disjoint from its predecessor's hides min(setup, previous
+// transmission). A plan's Predicted time is therefore the engine's
+// simulated time for the same steps by construction, which the
+// cross-check gate (wrhtsim plan -check, exp.PlanSweep) asserts over
+// the (r, w, a) grid.
 //
-// A Planner reuses one PhaseBuilder, one rwa probe and one candidate
+// A Planner reuses its PhaseBuilders, rwa probe, fold and candidate
 // slice across calls, so the steady state of repeated planning
 // allocates nothing (pinned by TestPlannerSteadyStateAllocs).
 package plan
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -36,8 +36,8 @@ type Candidate struct {
 	// Steps is the plan's emitted step count.
 	Steps int
 	// Predicted is the plan's execution time in seconds under the
-	// planner's fabric and overlap mode, accumulated exactly as
-	// fabric.Engine would.
+	// planner's fabric and overlap mode, accumulated by fabric.Fold as
+	// fabric.Engine does.
 	Predicted float64
 }
 
@@ -107,8 +107,8 @@ type Planner struct {
 
 	builder core.PhaseBuilder
 	chosen  core.PhaseBuilder
-	probe   *rwa.Probe
-	ring    topo.Ring
+	fold    fabric.Fold
+	res     fabric.Result
 	cands   []Candidate
 	plans   []core.PhasePlan
 	plansR  int
@@ -129,10 +129,8 @@ func (pl *Planner) Plan(ring topo.Ring, reps []int, dBytes float64) (Decision, e
 	if err != nil {
 		return Decision{}, fmt.Errorf("plan: %w", err)
 	}
-	if pl.probe == nil || pl.ring != ring {
-		pl.probe = rwa.NewProbe(ring)
-		pl.ring = ring
-	}
+	pl.fold.Engine = fabric.Engine{Fabric: pl.Fabric, Opts: fabric.Options{Overlap: pl.Overlap}}
+	pl.fold.Reset(ring)
 	if pl.plans == nil || pl.plansR != r || pl.plansW != pl.Budget {
 		pl.plans = core.PhasePlans(r, pl.Budget)
 		pl.plansR, pl.plansW = r, pl.Budget
@@ -150,7 +148,10 @@ func (pl *Planner) Plan(ring topo.Ring, reps []int, dBytes float64) (Decision, e
 		if err := pl.validateRounds(ring, steps); err != nil {
 			return Decision{}, fmt.Errorf("plan: candidate %s: %w", p, err)
 		}
-		t := pl.price(ring, steps, elems)
+		t, err := pl.price(steps, elems)
+		if err != nil {
+			return Decision{}, fmt.Errorf("plan: price %s: %w", p, err)
+		}
 		pl.cands = append(pl.cands, Candidate{Plan: p, Steps: len(steps), Predicted: t})
 		if best < 0 || t < pl.cands[best].Predicted {
 			best = len(pl.cands) - 1
@@ -181,36 +182,35 @@ func (pl *Planner) validateRounds(ring topo.Ring, steps []core.Step) error {
 	if pl.Budget <= 0 {
 		return nil
 	}
+	pb := pl.fold.Probe()
 	for k := range steps {
 		st := &steps[k]
-		pl.probe.Begin(len(st.Transfers))
+		pb.Begin(len(st.Transfers))
 		for _, t := range st.Transfers {
-			pl.probe.Add(rwa.Request{Src: t.Src, Dst: t.Dst, Dir: t.Dir}, ring.ArcOf(t.Src, t.Dst, t.Dir), t.Wavelength)
+			pb.Add(rwa.Request{Src: t.Src, Dst: t.Dst, Dir: t.Dir}, ring.ArcOf(t.Src, t.Dst, t.Dir), t.Wavelength)
 		}
-		pl.probe.Index().Stats = nil
-		if err := pl.probe.Validate(pl.Budget); err != nil {
+		pb.Index().Stats = nil
+		if err := pb.Validate(pl.Budget); err != nil {
 			return fmt.Errorf("round %d: %w", k, err)
 		}
 	}
 	return nil
 }
 
-// price accumulates the steps' cost exactly as fabric.Engine.timeSteps
-// does: Σ (Total − hidden), hiding min(setup, previous transmission) at
-// rwa-disjoint boundaries in overlap mode.
-func (pl *Planner) price(ring topo.Ring, steps []core.Step, elems int) float64 {
-	var t, prevTransmit float64
+// price times the steps through the engine's own step-cost fold, so
+// the candidate's Predicted is the time fabric.Engine will simulate.
+// Candidates of one Plan call share the fold's StepKey memo (Plan
+// resets it): they are priced on the same fabric and payload, and their
+// rounds repeat across plan shapes.
+func (pl *Planner) price(steps []core.Step, elems int) (float64, error) {
+	pl.fold.Restart()
+	pl.res = fabric.Result{PerStep: pl.res.PerStep[:0]}
 	for k := range steps {
-		c := pl.Fabric.StepCost(steps[k], elems)
-		var hidden float64
-		if pl.Overlap && k > 0 && c.Setup > 0 && prevTransmit > 0 &&
-			fabric.StepsDisjoint(pl.probe, ring, steps[k-1], steps[k], nil) {
-			hidden = math.Min(c.Setup, prevTransmit)
+		if err := pl.fold.Step(&pl.res, &steps[k], elems); err != nil {
+			return 0, err
 		}
-		t += c.Total - hidden
-		prevTransmit = c.Transmission()
 	}
-	return t
+	return pl.res.Time, nil
 }
 
 // Cost is the analytic closed form of a plan's execution time without

@@ -34,9 +34,9 @@ func identityReps(r int) []int {
 
 // TestPredictedMatchesSimulated cross-checks the planner's pricing
 // against fabric.Engine on both fabrics: the chosen plan's Predicted
-// must equal the engine's simulated time bit for bit (the pricing
-// mirrors the engine's accumulation statement for statement), and every
-// other candidate must simulate to its own prediction too.
+// must equal the engine's simulated time bit for bit (both run the
+// steps through fabric.Fold), and every other candidate must simulate
+// to its own prediction too.
 func TestPredictedMatchesSimulated(t *testing.T) {
 	const dBytes = 25e6
 	cases := []struct {
