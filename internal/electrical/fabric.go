@@ -84,9 +84,3 @@ func (f treeFabric) GroupCost(bytes float64) fabric.StepCost {
 		MaxBytes:      bytes,
 	}
 }
-
-// StepKey enables memoization: collectives repeat the same transfer
-// pattern for thousands of steps, so identical steps are solved once.
-func (f treeFabric) StepKey(st core.Step, elems int) (string, bool) {
-	return stepSignature(st, elems), true
-}

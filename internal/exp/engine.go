@@ -226,18 +226,20 @@ func (e *engine) opticalBuckets(pr core.Profile, buckets []float64) (fabric.Resu
 	return res, err
 }
 
-// electricalTime times one collective schedule for one model on the
-// fat-tree. The backend is safe for concurrent use: the engine keeps all
-// mutable state (the step memo, the fluid-model flows) local to a run.
-func (e *engine) electricalTime(nw *electrical.Network, s *core.Schedule, m dnn.Model) (float64, error) {
+// electricalTime times one collective for one model on the fat-tree,
+// draining a fresh stream from steps for every payload. The backend is
+// safe for concurrent use: the engine keeps all mutable state local to
+// a run, and each step solve borrows pooled scratch from the network.
+func (e *engine) electricalTime(nw *electrical.Network, steps func() core.StepSource, m dnn.Model) (float64, error) {
 	eng := fabric.Engine{Fabric: nw.Fabric()}
 	var total float64
 	for _, d := range e.opts.payloads(m) {
+		src := steps()
 		start := e.prof.Start()
-		res, err := eng.RunSchedule(s, d)
+		res, err := eng.RunStream(src, d)
 		e.prof.End(e.elRunHist, start)
 		if err != nil {
-			return 0, fmt.Errorf("electrical timing (%s, %s): %w", s.Algorithm, m.Name, err)
+			return 0, fmt.Errorf("electrical timing (%s, %s): %w", src.Algorithm(), m.Name, err)
 		}
 		total += res.Time
 	}

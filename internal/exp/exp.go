@@ -400,12 +400,13 @@ func (e *engine) fig7(ns []int) (Fig7Result, error) {
 		return Fig7Result{}, err
 	}
 
-	// Electrical schedules and networks per N, built once up front and
-	// shared read-only across all models and workers.
+	// Networks and RD schedules per N, built once up front and shared
+	// read-only across all models and workers. E-Ring streams instead:
+	// materialized at N=1024 it alone would hold 2046 steps × 1024
+	// transfers.
 	type nets struct {
-		nw   *electrical.Network
-		ring *core.Schedule
-		rd   *core.Schedule
+		nw *electrical.Network
+		rd *core.Schedule
 	}
 	byN := map[int]nets{}
 	for _, n := range ns {
@@ -417,7 +418,7 @@ func (e *engine) fig7(ns []int) (Fig7Result, error) {
 		if err != nil {
 			return Fig7Result{}, fmt.Errorf("exp: fig 7 RD schedule (N=%d): %w", n, err)
 		}
-		byN[n] = nets{nw: nw, ring: collective.BuildRing(n), rd: rd}
+		byN[n] = nets{nw: nw, rd: rd}
 	}
 
 	// One sweep point per (workload, node count, algorithm). The
@@ -429,9 +430,9 @@ func (e *engine) fig7(ns []int) (Fig7Result, error) {
 		nn := byN[n]
 		switch i % numAlgos {
 		case 0:
-			return e.electricalTime(nn.nw, nn.ring, model)
+			return e.electricalTime(nn.nw, func() core.StepSource { return collective.StreamRing(n) }, model)
 		case 1:
-			return e.electricalTime(nn.nw, nn.rd, model)
+			return e.electricalTime(nn.nw, nn.rd.Source, model)
 		case 2:
 			return e.opticalTime(e.ring(n), model)
 		default:

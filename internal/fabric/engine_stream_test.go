@@ -52,8 +52,7 @@ func streamParityCorpus(t *testing.T) map[string]*core.Schedule {
 // TestRunStreamMatchesRunSchedule pins the streamed execution path
 // bit-identical to the materialized one — same Result (times, splits,
 // per-step breakdown) and same observer event sequence — across the
-// option matrix: overlap off/probed/precomputed, validation on/off,
-// memoized and unmemoized fabrics.
+// option matrix: overlap off/probed/precomputed, validation on/off.
 func TestRunStreamMatchesRunSchedule(t *testing.T) {
 	for name, s := range streamParityCorpus(t) {
 		boundaries := make([]bool, max(s.NumSteps()-1, 0))
@@ -71,28 +70,26 @@ func TestRunStreamMatchesRunSchedule(t *testing.T) {
 			{"overlap-bd", Options{Overlap: true, BoundaryDisjoint: boundaries}},
 			{"overlap-validate", Options{Overlap: true, ValidateWavelengths: true}},
 		}
-		for _, keyed := range []bool{false, true} {
-			for _, oc := range cases {
-				f := &stubFabric{setup: 2e-6, perByte: 1e-9, keyed: keyed, budget: 8}
-				recSched := &recorder{}
-				opts := oc.opts
-				opts.Observer = recSched
-				want, err := Engine{Fabric: f, Opts: opts}.RunSchedule(s, 4096)
-				if err != nil {
-					t.Fatalf("%s/%s keyed=%v: RunSchedule: %v", name, oc.name, keyed, err)
-				}
-				recStream := &recorder{}
-				opts.Observer = recStream
-				got, err := Engine{Fabric: f, Opts: opts}.RunStream(s.Source(), 4096)
-				if err != nil {
-					t.Fatalf("%s/%s keyed=%v: RunStream: %v", name, oc.name, keyed, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s keyed=%v: streamed result differs:\n got %+v\nwant %+v", name, oc.name, keyed, got, want)
-				}
-				if !reflect.DeepEqual(recStream.events, recSched.events) {
-					t.Errorf("%s/%s keyed=%v: observer event sequences differ", name, oc.name, keyed)
-				}
+		for _, oc := range cases {
+			f := &stubFabric{setup: 2e-6, perByte: 1e-9, budget: 8}
+			recSched := &recorder{}
+			opts := oc.opts
+			opts.Observer = recSched
+			want, err := Engine{Fabric: f, Opts: opts}.RunSchedule(s, 4096)
+			if err != nil {
+				t.Fatalf("%s/%s: RunSchedule: %v", name, oc.name, err)
+			}
+			recStream := &recorder{}
+			opts.Observer = recStream
+			got, err := Engine{Fabric: f, Opts: opts}.RunStream(s.Source(), 4096)
+			if err != nil {
+				t.Fatalf("%s/%s: RunStream: %v", name, oc.name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: streamed result differs:\n got %+v\nwant %+v", name, oc.name, got, want)
+			}
+			if !reflect.DeepEqual(recStream.events, recSched.events) {
+				t.Errorf("%s/%s: observer event sequences differ", name, oc.name)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -19,7 +18,6 @@ import (
 type stubFabric struct {
 	setup     float64
 	perByte   float64
-	keyed     bool
 	budget    int
 	budgetErr error
 	checkErr  error
@@ -45,17 +43,6 @@ func (f *stubFabric) StepCost(st core.Step, elems int) StepCost {
 	return f.GroupCost(maxBytes)
 }
 
-func (f *stubFabric) StepKey(st core.Step, elems int) (string, bool) {
-	if !f.keyed {
-		return "", false
-	}
-	var sb strings.Builder
-	for _, t := range st.Transfers {
-		fmt.Fprintf(&sb, "%d>%d:%d;", t.Src, t.Dst, t.Chunk.Bytes(elems))
-	}
-	return sb.String(), true
-}
-
 func whole() tensor.Chunk { return tensor.Chunk{Index: 0, Of: 1} }
 
 // step builds a one-transfer step src->dst on wavelength w, CW.
@@ -67,32 +54,6 @@ func step(src, dst, w int) core.Step {
 
 func sched(n int, steps ...core.Step) *core.Schedule {
 	return &core.Schedule{Algorithm: "test", Ring: topo.NewRing(n), Steps: steps}
-}
-
-func TestMemoizationSolvesIdenticalStepsOnce(t *testing.T) {
-	f := &stubFabric{setup: 1, perByte: 1, keyed: true}
-	s := sched(8, step(0, 1, 0), step(0, 1, 0), step(2, 3, 0), step(0, 1, 0))
-	res, err := Engine{Fabric: f}.RunSchedule(s, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.costCalls != 2 {
-		t.Errorf("StepCost called %d times for 2 distinct steps", f.costCalls)
-	}
-	if res.Steps != 4 || len(res.PerStep) != 4 {
-		t.Errorf("result covers %d/%d steps, want 4/4", res.Steps, len(res.PerStep))
-	}
-	f2 := &stubFabric{setup: 1, perByte: 1}
-	res2, err := Engine{Fabric: f2}.RunSchedule(s, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f2.costCalls != 4 {
-		t.Errorf("unkeyed fabric should cost every step, got %d calls", f2.costCalls)
-	}
-	if res2.Time != res.Time {
-		t.Errorf("memoized time %g != unmemoized %g", res.Time, res2.Time)
-	}
 }
 
 func TestOverlapHidesSetupUnderDisjointPreviousStep(t *testing.T) {
@@ -413,10 +374,9 @@ func TestRunScheduleRejectsGarbagePayloadSizes(t *testing.T) {
 }
 
 // A Fold reused across Reset and Restart calls, as the planner reuses
-// it, must reproduce the engine's result on every sequence: Reset
-// empties the StepKey memo, Restart keeps it, and with the caller's
-// PerStep buffer recycled the steady state allocates nothing (the probe
-// is pooled).
+// it, must reproduce the engine's result on every sequence, charging
+// StepCost once per step, and with the caller's PerStep buffer recycled
+// the steady state allocates nothing (the probe is pooled).
 func TestFoldReuseAcrossResets(t *testing.T) {
 	s := manyBoundarySchedule()
 	const d = 400
@@ -424,54 +384,46 @@ func TestFoldReuseAcrossResets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, keyed := range []bool{false, true} {
-		f := &stubFabric{setup: 1, perByte: 0.1, keyed: keyed}
-		eng := Engine{Fabric: f, Opts: Options{Overlap: true}}
-		want, err := eng.RunSchedule(s, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fd := Fold{Engine: eng}
-		var res Result
-		fold := func() {
-			res = Result{Fabric: want.Fabric, Algorithm: want.Algorithm, PerStep: res.PerStep[:0]}
-			for k := range s.Steps {
-				if err := fd.Step(&res, &s.Steps[k], elems); err != nil {
-					t.Fatal(err)
-				}
+	f := &stubFabric{setup: 1, perByte: 0.1}
+	eng := Engine{Fabric: f, Opts: Options{Overlap: true}}
+	want, err := eng.RunSchedule(s, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd := Fold{Engine: eng}
+	var res Result
+	fold := func() {
+		res = Result{Fabric: want.Fabric, Algorithm: want.Algorithm, PerStep: res.PerStep[:0]}
+		for k := range s.Steps {
+			if err := fd.Step(&res, &s.Steps[k], elems); err != nil {
+				t.Fatal(err)
 			}
 		}
-		run := func() {
-			fd.Reset(s.Ring)
-			fold()
-		}
-		for i := 0; i < 2; i++ {
-			f.costCalls = 0
-			run()
-			if !reflect.DeepEqual(res, want) {
-				t.Fatalf("keyed=%v run %d: fold %+v != engine %+v", keyed, i, res, want)
-			}
-			if f.costCalls != len(s.Steps) {
-				t.Errorf("keyed=%v run %d: %d StepCost calls for %d distinct steps (memo not reset?)", keyed, i, f.costCalls, len(s.Steps))
-			}
-		}
-		f.costCalls = 0
-		fd.Restart()
+	}
+	run := func() {
+		fd.Reset(s.Ring)
 		fold()
+	}
+	for i := 0; i < 2; i++ {
+		f.costCalls = 0
+		run()
 		if !reflect.DeepEqual(res, want) {
-			t.Fatalf("keyed=%v after Restart: fold %+v != engine %+v", keyed, res, want)
+			t.Fatalf("run %d: fold %+v != engine %+v", i, res, want)
 		}
-		wantCalls := len(s.Steps)
-		if keyed {
-			wantCalls = 0
+		if f.costCalls != len(s.Steps) {
+			t.Errorf("run %d: %d StepCost calls for %d steps", i, f.costCalls, len(s.Steps))
 		}
-		if f.costCalls != wantCalls {
-			t.Errorf("keyed=%v after Restart: %d StepCost calls, want %d (memo must carry over)", keyed, f.costCalls, wantCalls)
-		}
-		if !keyed {
-			if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
-				t.Errorf("reused fold allocates %.0f times per run, want 0", allocs)
-			}
-		}
+	}
+	f.costCalls = 0
+	fd.Restart()
+	fold()
+	if !reflect.DeepEqual(res, want) {
+		t.Fatalf("after Restart: fold %+v != engine %+v", res, want)
+	}
+	if f.costCalls != len(s.Steps) {
+		t.Errorf("after Restart: %d StepCost calls for %d steps", f.costCalls, len(s.Steps))
+	}
+	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+		t.Errorf("reused fold allocates %.0f times per run, want 0", allocs)
 	}
 }

@@ -85,9 +85,4 @@ type Fabric interface {
 	// document what approximation they apply (the fat-tree charges the
 	// congestion-free serialization plus the worst-case router path).
 	GroupCost(bytes float64) StepCost
-	// StepKey returns a memoization key under which StepCost(st, elems)
-	// may be cached for the duration of one engine run, or ok=false to
-	// disable memoization. Backends with expensive per-step solvers
-	// (the max–min fluid model) use this to solve repeated steps once.
-	StepKey(st core.Step, elems int) (key string, ok bool)
 }

@@ -14,7 +14,8 @@ import (
 // all charge their steps through it, so a planner's predicted time
 // equals the engine's simulated time by construction. Per step it
 //
-//   - charges Fabric.StepCost, memoized per run under Fabric.StepKey;
+//   - charges Fabric.StepCost, once per step (there is no memo: the
+//     fat-tree's dense solver is cheaper than keying a step);
 //   - in overlap mode, hides min(setup, previous transmission) when the
 //     step's circuits are disjoint from its predecessor's, taking the
 //     decision from Options.BoundaryDisjoint when set and from a pooled
@@ -30,7 +31,6 @@ import (
 type Fold struct {
 	Engine
 
-	memo         map[string]StepCost
 	probe        *rwa.Probe
 	ring         topo.Ring
 	prev         core.Step
@@ -38,11 +38,10 @@ type Fold struct {
 	k            int // steps since the last Reset or Restart
 }
 
-// Reset starts a new run on ring: the StepKey memo is emptied (keeping
-// its storage) and the next step has no predecessor to hide its setup
-// under. The overlap probe is kept while the ring stays the same.
+// Reset starts a new run on ring: the next step has no predecessor to
+// hide its setup under. The overlap probe is kept while the ring stays
+// the same.
 func (f *Fold) Reset(ring topo.Ring) {
-	clear(f.memo)
 	if f.ring != ring {
 		f.probe = nil
 		f.ring = ring
@@ -52,7 +51,7 @@ func (f *Fold) Reset(ring topo.Ring) {
 
 // Restart begins a new step sequence within the run: the next step has
 // no predecessor and reads BoundaryDisjoint from entry 0, while the
-// memo carries over. A fault-restarted schedule and each of a planner's
+// probe carries over. A fault-restarted schedule and each of a planner's
 // candidates are such sequences.
 func (f *Fold) Restart() {
 	f.prevTransmit = 0
@@ -63,7 +62,7 @@ func (f *Fold) Restart() {
 // The observer sees the step under index res.Steps, the count of steps
 // folded into res so far.
 func (f *Fold) Step(res *Result, st *core.Step, elems int) error {
-	c := f.cost(st, elems)
+	c := f.Fabric.StepCost(*st, elems)
 	var hidden float64
 	if f.Opts.Overlap && f.k > 0 && c.Setup > 0 && f.prevTransmit > 0 {
 		disjoint, err := f.disjoint(st)
@@ -96,24 +95,6 @@ func (f *Fold) Step(res *Result, st *core.Step, elems int) error {
 	}
 	f.k++
 	return nil
-}
-
-// cost returns the fabric's cost of st, through the per-run memo when
-// the fabric offers a key.
-func (f *Fold) cost(st *core.Step, elems int) StepCost {
-	key, ok := f.Fabric.StepKey(*st, elems)
-	if !ok {
-		return f.Fabric.StepCost(*st, elems)
-	}
-	if c, ok := f.memo[key]; ok {
-		return c
-	}
-	if f.memo == nil {
-		f.memo = make(map[string]StepCost)
-	}
-	c := f.Fabric.StepCost(*st, elems)
-	f.memo[key] = c
-	return c
 }
 
 // disjoint decides whether st's circuits are disjoint from the previous

@@ -65,10 +65,6 @@ func (f ringFabric) StepCost(st core.Step, elems int) fabric.StepCost {
 	return f.GroupCost(maxBytes)
 }
 
-// StepKey disables memoization: the closed-form step cost is cheaper
-// than hashing the step.
-func (f ringFabric) StepKey(core.Step, int) (string, bool) { return "", false }
-
 // TransferDelay perturbs one circuit's transfer: it receives the
 // nominal serialization plus O/E/O time and returns the duration to
 // charge. Negative results are clamped to zero.
@@ -77,8 +73,8 @@ type TransferDelay func(nominal float64) float64
 // jitteredFabric is the ring with every circuit's transfer time passed
 // through a TransferDelay (straggler and jitter injection): a step
 // lasts the reconfiguration delay plus its slowest perturbed circuit.
-// StepKey stays disabled (inherited from ringFabric), so every step's
-// transfers are perturbed exactly once, in schedule and transfer order.
+// The engine costs every step once, so every step's transfers are
+// perturbed exactly once, in schedule and transfer order.
 type jitteredFabric struct {
 	ringFabric
 	delay TransferDelay

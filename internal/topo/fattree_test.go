@@ -27,10 +27,10 @@ func TestFatTreeShape(t *testing.T) {
 func TestRouteIntraEdge(t *testing.T) {
 	f := NewFatTree(1024, 32)
 	p := f.Route(3, 7) // both on edge 0
-	if len(p.Routers) != 1 || p.Routers[0] != 0 {
+	if p.NRouters != 1 || p.Routers[0] != 0 {
 		t.Fatalf("intra-edge route routers = %v", p.Routers)
 	}
-	if len(p.Links) != 2 {
+	if p.NLinks != 2 {
 		t.Fatalf("intra-edge route links = %v", p.Links)
 	}
 }
@@ -38,7 +38,7 @@ func TestRouteIntraEdge(t *testing.T) {
 func TestRouteInterEdge(t *testing.T) {
 	f := NewFatTree(1024, 32)
 	p := f.Route(3, 900)
-	if len(p.Routers) != 3 {
+	if p.NRouters != 3 {
 		t.Fatalf("inter-edge route routers = %v", p.Routers)
 	}
 	if p.Routers[0] != f.EdgeOf(3) || p.Routers[2] != f.EdgeOf(900) {
@@ -48,7 +48,7 @@ func TestRouteInterEdge(t *testing.T) {
 	if core < f.Edges || core >= f.Edges+f.Cores {
 		t.Fatalf("middle router %d is not a core", core)
 	}
-	if len(p.Links) != 4 {
+	if p.NLinks != 4 {
 		t.Fatalf("inter-edge route links = %v", p.Links)
 	}
 }
@@ -56,7 +56,7 @@ func TestRouteInterEdge(t *testing.T) {
 func TestRouteSelf(t *testing.T) {
 	f := NewFatTree(64, 32)
 	p := f.Route(5, 5)
-	if len(p.Routers) != 0 || len(p.Links) != 0 {
+	if p != (Path{}) {
 		t.Fatalf("self route should be empty, got %+v", p)
 	}
 }
@@ -66,7 +66,8 @@ func TestRouteLinkIDsWithinBounds(t *testing.T) {
 	limit := f.NumLinks()
 	q := func(sRaw, dRaw uint16) bool {
 		s, d := int(sRaw)%256, int(dRaw)%256
-		for _, l := range f.Route(s, d).Links {
+		p := f.Route(s, d)
+		for _, l := range p.Links[:p.NLinks] {
 			if l < 0 || l >= limit {
 				return false
 			}
@@ -76,6 +77,21 @@ func TestRouteLinkIDsWithinBounds(t *testing.T) {
 	if err := quick.Check(q, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestRouteAllocatesNothing(t *testing.T) {
+	f := NewFatTree(1024, 32)
+	var sink int
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, d := range []int{7, 900} {
+			p := f.Route(3, d)
+			sink += p.Links[p.NLinks-1] + p.Routers[p.NRouters-1]
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Route allocates %.0f times per call pair, want 0", allocs)
+	}
+	_ = sink
 }
 
 func TestRouteSpreadsUplinks(t *testing.T) {

@@ -1,6 +1,7 @@
 package wrht_test
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -323,5 +324,23 @@ func TestSimulateArgumentErrors(t *testing.T) {
 	}
 	if _, err := wrht.Simulate(wrht.Optical, 42, 1e6); err == nil {
 		t.Error("non-collective argument should error")
+	}
+}
+
+// TestSimulateRejectsBadElectricalParams: electrical parameters that
+// used to panic inside the fat-tree (an odd radix) or at the first
+// solved step (a non-finite link rate) are errors at the facade.
+func TestSimulateRejectsBadElectricalParams(t *testing.T) {
+	s := collective.BuildRing(64)
+	for name, mut := range map[string]func(*wrht.ElectricalParams){
+		"odd radix":          func(p *wrht.ElectricalParams) { p.Radix = 31 },
+		"infinite link rate": func(p *wrht.ElectricalParams) { p.LinkBps = math.Inf(1) },
+		"NaN link rate":      func(p *wrht.ElectricalParams) { p.LinkBps = math.NaN() },
+	} {
+		p := wrht.DefaultElectricalParams()
+		mut(&p)
+		if _, err := wrht.Simulate(wrht.ElectricalFatTree, s, 1e6, wrht.WithElectricalParams(p)); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
