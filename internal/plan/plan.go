@@ -199,9 +199,8 @@ func (pl *Planner) validateRounds(ring topo.Ring, steps []core.Step) error {
 
 // price times the steps through the engine's own step-cost fold, so
 // the candidate's Predicted is the time fabric.Engine will simulate.
-// Candidates of one Plan call share the fold's StepKey memo (Plan
-// resets it): they are priced on the same fabric and payload, and their
-// rounds repeat across plan shapes.
+// Each candidate is a fresh step sequence (Restart) within the Plan
+// call's run (Reset), sharing the fold's pooled probe.
 func (pl *Planner) price(steps []core.Step, elems int) (float64, error) {
 	pl.fold.Restart()
 	pl.res = fabric.Result{PerStep: pl.res.PerStep[:0]}
