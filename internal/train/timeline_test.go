@@ -3,6 +3,8 @@ package train
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"wrht/internal/collective"
@@ -47,12 +49,60 @@ func TestTimelineZeroIterations(t *testing.T) {
 }
 
 func TestTimelinePanicsOnBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for 0 workers")
-		}
-	}()
-	Timeline{Workers: 0, Iterations: 1}.Run()
+	for _, tc := range []struct {
+		name string
+		tl   Timeline
+	}{
+		{"zero workers", Timeline{Workers: 0, Iterations: 1}},
+		{"negative iterations", Timeline{Workers: 1, Iterations: -1}},
+		{"negative compute", Timeline{Workers: 4, Iterations: 1, ComputeSec: -0.1, CommSec: 0.01}},
+		{"negative comm", Timeline{Workers: 4, Iterations: 1, ComputeSec: 0.1, CommSec: -0.01}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("no panic for %+v", tc.tl)
+				}
+			}()
+			tc.tl.Run()
+		})
+	}
+}
+
+// TestTimelineGolden pins the timeline's totals and its Perfetto trace
+// bytes with ==: the barrier loop must reproduce, bit for bit, the
+// event ordering and float accumulation it has always had.
+func TestTimelineGolden(t *testing.T) {
+	tr := obs.NewTracer()
+	skewed := Timeline{
+		Workers: 8, Iterations: 5, ComputeSec: 0.1, CommSec: 0.01, Skew: 0.1,
+		Trace: tr, TraceProcess: "golden N=8", TraceWorkers: 3,
+	}.Run()
+	if want := (TimelineResult{
+		TotalSec: 0.6000000000000001, ComputeSec: 0.55, CommSec: 0.05, CommFraction: 0.08333333333333333,
+	}); skewed != want {
+		t.Errorf("skewed timeline = %+v, want %+v", skewed, want)
+	}
+	var got bytes.Buffer
+	if _, err := tr.WriteTo(&got); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "timeline_skew.trace.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("skewed timeline trace differs from testdata/timeline_skew.trace.json (len %d vs %d)", got.Len(), len(want))
+	}
+
+	w := workload.New(dnn.ResNet50(), workload.TitanXP(), 16)
+	epoch := EpochTimeline(w, 64, 1281167, 0.0123).Run()
+	if want := (TimelineResult{
+		TotalSec: 122.42989197032364, ComputeSec: 107.03029197032556,
+		CommSec: 15.399599999999804, CommFraction: 0.12578300733723252,
+	}); epoch != want {
+		t.Errorf("epoch timeline = %+v, want %+v", epoch, want)
+	}
 }
 
 func TestEpochTimelineCommShareGrowsWithStepHeavyAlgorithms(t *testing.T) {
