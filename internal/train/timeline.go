@@ -2,9 +2,9 @@ package train
 
 import (
 	"fmt"
+	"math"
 
 	"wrht/internal/core"
-	"wrht/internal/des"
 	"wrht/internal/dnn"
 	"wrht/internal/fabric"
 	"wrht/internal/obs"
@@ -16,10 +16,9 @@ import (
 // data-parallel training: per iteration every worker computes for
 // ComputeSecPerIter (the paper's profiled GPU time), then the cluster
 // performs one all-reduce whose duration comes from the optical (or any
-// Eq-6-style) model. The simulation runs on the DES kernel so worker
-// compute phases genuinely interleave and the communication step is the
-// synchronisation barrier — the structure behind the paper's claim that
-// all-reduce takes 50–90% of iteration time at scale [35].
+// Eq-6-style) model. The communication step is the synchronisation
+// barrier — the structure behind the paper's claim that all-reduce
+// takes 50–90% of iteration time at scale [35].
 type Timeline struct {
 	Workers    int
 	Iterations int
@@ -53,12 +52,15 @@ type TimelineResult struct {
 	CommFraction float64 // share of total spent in all-reduce
 }
 
-// Run simulates the timeline and returns the totals.
+// Run simulates the timeline and returns the totals. Each iteration
+// is a barrier: every worker starts computing at the same instant, the
+// all-reduce starts when the slowest finishes, and the next iteration
+// starts when the all-reduce ends. A negative compute or comm time
+// panics: it would run the clock backwards.
 func (tl Timeline) Run() TimelineResult {
 	if tl.Workers < 1 || tl.Iterations < 0 {
 		panic(fmt.Sprintf("train: timeline workers=%d iterations=%d invalid", tl.Workers, tl.Iterations))
 	}
-	var k des.Kernel
 	var res TimelineResult
 	tracedWorkers := tl.TraceWorkers
 	if tracedWorkers <= 0 {
@@ -68,14 +70,11 @@ func (tl Timeline) Run() TimelineResult {
 	if tl.Workers > 1 {
 		slowest = tl.ComputeSec * (1 + tl.Skew)
 	}
-	var iterate func(it int)
-	iterate = func(it int) {
-		if it >= tl.Iterations {
-			return
-		}
-		// All workers compute concurrently; the barrier fires when the
-		// slowest finishes.
-		done := 0
+	now := 0.0
+	for it := 0; it < tl.Iterations; it++ {
+		// The barrier is now + max_w c_w, which equals max_w (now + c_w)
+		// because rounded float addition is monotone.
+		barrier := 0.0
 		for wkr := 0; wkr < tl.Workers; wkr++ {
 			c := tl.ComputeSec
 			if tl.Workers > 1 {
@@ -83,27 +82,26 @@ func (tl Timeline) Run() TimelineResult {
 			}
 			if tl.Trace != nil && wkr < tracedWorkers {
 				tl.Trace.Span(obs.Track{Process: tl.TraceProcess, Name: fmt.Sprintf("worker %d", wkr)},
-					"compute", k.Now(), c, obs.Args{"iteration": it})
+					"compute", now, c, obs.Args{"iteration": it})
 			}
-			k.AfterNamed(c, "compute", func() {
-				done++
-				if done == tl.Workers {
-					res.ComputeSec += slowest
-					// Synchronous all-reduce.
-					if tl.Trace != nil {
-						tl.Trace.Span(obs.Track{Process: tl.TraceProcess, Name: "all-reduce"},
-							"all-reduce", k.Now(), tl.CommSec, obs.Args{"iteration": it})
-					}
-					k.AfterNamed(tl.CommSec, "all-reduce", func() {
-						res.CommSec += tl.CommSec
-						iterate(it + 1)
-					})
-				}
-			})
+			if c < 0 {
+				panic(fmt.Sprintf("train: negative compute time %g", c))
+			}
+			barrier = math.Max(barrier, c)
 		}
+		now += barrier
+		res.ComputeSec += slowest
+		if tl.CommSec < 0 {
+			panic(fmt.Sprintf("train: negative comm time %g", tl.CommSec))
+		}
+		if tl.Trace != nil {
+			tl.Trace.Span(obs.Track{Process: tl.TraceProcess, Name: "all-reduce"},
+				"all-reduce", now, tl.CommSec, obs.Args{"iteration": it})
+		}
+		now += tl.CommSec
+		res.CommSec += tl.CommSec
 	}
-	iterate(0)
-	res.TotalSec = k.Run()
+	res.TotalSec = now
 	if res.TotalSec > 0 {
 		res.CommFraction = res.CommSec / res.TotalSec
 	}
