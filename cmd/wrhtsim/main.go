@@ -16,12 +16,12 @@
 // the engine's retry-with-reschedule path. Without -n it covers the
 // paper trio N ∈ {64, 1024, 4096}.
 //
-// For the crossfabric, overlap, faults, plan and build subcommands,
 // -json writes the structured result in the versioned internal/api
-// schema — byte-identical to the body the wrhtd daemon serves for the
-// equivalent /v1/sweep, /v1/plan or /v1/build request (the parity test
-// in this package pins that); for the figure subcommands it writes the
-// raw figure series.
+// schema. For the crossfabric, overlap, faults, plan and build
+// subcommands it is byte-identical to the body the wrhtd daemon serves
+// for the equivalent /v1/sweep, /v1/plan or /v1/build request (the
+// parity test in this package pins that); for fig4–fig7 and all it is
+// an api.FiguresResponse holding each figure's raw series.
 //
 // The overlap subcommand compares the engine's opportunistic overlap
 // mode against schedules rewritten by the internal/ir pass pipeline
@@ -98,7 +98,6 @@ import (
 	"wrht/internal/obs"
 	"wrht/internal/optical"
 	"wrht/internal/parallel"
-	"wrht/internal/trace"
 	"wrht/internal/workload"
 )
 
@@ -325,7 +324,7 @@ func run(cfg runConfig) int {
 
 	cmd := cfg.cmd
 	ran := false
-	var rec trace.Recorder
+	figs := api.FiguresResponse{Version: api.Version}
 	if cmd == "schedule" {
 		// Dump the WRHT schedule for -n/-w/-m as JSON (loadable by a
 		// control plane or core.ReadSchedule).
@@ -397,7 +396,7 @@ func run(cfg runConfig) int {
 			return fatal(err)
 		}
 		fmt.Println(fig)
-		rec.Record(exp.FigureRun("fig4", fig))
+		figs.Figures = append(figs.Figures, api.FigureFrom("fig4", fig))
 		ran = true
 	}
 	if cmd == "fig5" || cmd == "all" {
@@ -407,7 +406,7 @@ func run(cfg runConfig) int {
 		}
 		for i, f := range r.Figures {
 			fmt.Println(f)
-			rec.Record(exp.FigureRun(fmt.Sprintf("fig5-%d", i), f))
+			figs.Figures = append(figs.Figures, api.FigureFrom(fmt.Sprintf("fig5-%d", i), f))
 		}
 		fmt.Printf("Fig 5 mean reductions (%s): WRHT vs Ring %s (paper 13.74%%), vs H-Ring %s (paper 9.29%%), vs BT %s (paper 75%%)\n\n",
 			o.Granularity, metrics.Pct(r.VsRing), metrics.Pct(r.VsHRing), metrics.Pct(r.VsBT))
@@ -420,7 +419,7 @@ func run(cfg runConfig) int {
 		}
 		for i, f := range r.Figures {
 			fmt.Println(f)
-			rec.Record(exp.FigureRun(fmt.Sprintf("fig6-%d", i), f))
+			figs.Figures = append(figs.Figures, api.FigureFrom(fmt.Sprintf("fig6-%d", i), f))
 		}
 		fmt.Printf("Fig 6 mean reductions (%s): WRHT vs Ring %s (paper 65.23%%), vs H-Ring %s (paper 43.81%%), vs BT %s (paper 82.22%%)\n\n",
 			o.Granularity, metrics.Pct(r.VsRing), metrics.Pct(r.VsHRing), metrics.Pct(r.VsBT))
@@ -433,7 +432,7 @@ func run(cfg runConfig) int {
 		}
 		for i, f := range r.Figures {
 			fmt.Println(f)
-			rec.Record(exp.FigureRun(fmt.Sprintf("fig7-%d", i), f))
+			figs.Figures = append(figs.Figures, api.FigureFrom(fmt.Sprintf("fig7-%d", i), f))
 		}
 		fmt.Printf("Fig 7 mean reductions (%s): O-Ring vs E-Ring %s (paper 48.74%%), WRHT vs E-Ring %s (paper 61.23%%), WRHT vs E-RD %s (paper 55.51%%)\n\n",
 			o.Granularity, metrics.Pct(r.ORingVsERing), metrics.Pct(r.WRHTVsERing), metrics.Pct(r.WRHTVsERD))
@@ -508,7 +507,6 @@ func run(cfg runConfig) int {
 				return fatal(err)
 			}
 			fmt.Printf("crossfabric result written to %s\n", cfg.jsonOut)
-			cfg.jsonOut = "" // consumed; skip the figure recorder below
 		}
 		ran = true
 	}
@@ -533,7 +531,6 @@ func run(cfg runConfig) int {
 				return fatal(err)
 			}
 			fmt.Printf("faults result written to %s\n", cfg.jsonOut)
-			cfg.jsonOut = ""
 		}
 		ran = true
 	}
@@ -563,7 +560,6 @@ func run(cfg runConfig) int {
 				return fatal(err)
 			}
 			fmt.Printf("overlap result written to %s\n", cfg.jsonOut)
-			cfg.jsonOut = ""
 		}
 		ran = true
 	}
@@ -593,12 +589,11 @@ func run(cfg runConfig) int {
 		if cfg.check {
 			fmt.Printf("plan check passed: predicted argmin == simulated argmin at all %d points, rescue speedups above 1\n\n", len(resp.Points))
 		}
-		if cfg.jsonOut != "" {
+		if cmd == "plan" && cfg.jsonOut != "" {
 			if err := writeJSON(cfg.jsonOut, resp); err != nil {
 				return fatal(err)
 			}
 			fmt.Printf("raw plan points written to %s\n", cfg.jsonOut)
-			cfg.jsonOut = "" // consumed; skip the figure recorder below
 		}
 		ran = true
 	}
@@ -620,10 +615,9 @@ func run(cfg runConfig) int {
 		flag.Usage()
 		return 2
 	}
-	if cfg.jsonOut != "" && len(rec.Runs) > 0 {
-		if err := rec.WriteFile(cfg.jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "wrhtsim: writing %s: %v\n", cfg.jsonOut, err)
-			return 1
+	if cfg.jsonOut != "" && len(figs.Figures) > 0 {
+		if err := writeJSON(cfg.jsonOut, figs); err != nil {
+			return fatal(err)
 		}
 		fmt.Printf("raw series written to %s\n", cfg.jsonOut)
 	}

@@ -5,18 +5,18 @@
 // per-DNN slice of the paper's Figure 5. Ring and BT stay flat (they use
 // a single wavelength), H-Ring gains a little, WRHT's step count shrinks
 // with m = 2w+1 until the wavelengths stop helping. The raw series are
-// also written to wavelength_sweep.json.
-//
-// Uses only the public wrht API plus the trace exporter.
+// also written to wavelength_sweep.json in the internal/api figure
+// schema that `wrhtsim fig5 -json` writes.
 package main
 
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"wrht"
+	"wrht/internal/api"
 	"wrht/internal/metrics"
-	"wrht/internal/trace"
 )
 
 func main() {
@@ -30,8 +30,12 @@ func main() {
 		Title:   fmt.Sprintf("Communication time (ms) for %s (%.0f MB) on a %d-node optical ring", model.Name, d/1e6, n),
 		Headers: []string{"wavelengths", "Ring", "H-Ring", "BT", "WRHT", "WRHT steps"},
 	}
-	series := map[string][]float64{"Ring": nil, "H-Ring": nil, "BT": nil, "WRHT": nil}
-	var xticks []string
+	fig := &metrics.Figure{
+		Title:  fmt.Sprintf("Communication time for %s (%.0f MB) on a %d-node optical ring", model.Name, d/1e6, n),
+		XLabel: "wavelengths",
+		YLabel: "communication time (s)",
+		Series: []metrics.Series{{Name: "Ring"}, {Name: "H-Ring"}, {Name: "BT"}, {Name: "WRHT"}},
+	}
 
 	for _, w := range waves {
 		p := wrht.DefaultOpticalParams()
@@ -55,20 +59,24 @@ func main() {
 			fmt.Sprintf("%.2f", tr*1e3), fmt.Sprintf("%.2f", th*1e3),
 			fmt.Sprintf("%.2f", tb*1e3), fmt.Sprintf("%.2f", tw*1e3),
 			fmt.Sprint(wrhtProf.NumSteps()))
-		series["Ring"] = append(series["Ring"], tr)
-		series["H-Ring"] = append(series["H-Ring"], th)
-		series["BT"] = append(series["BT"], tb)
-		series["WRHT"] = append(series["WRHT"], tw)
-		xticks = append(xticks, fmt.Sprint(w))
+		for i, t := range []float64{tr, th, tb, tw} {
+			fig.Series[i].Y = append(fig.Series[i].Y, t)
+		}
+		fig.XTicks = append(fig.XTicks, fmt.Sprint(w))
 	}
 	fmt.Println(table)
 
-	var rec trace.Recorder
-	rec.Record(trace.NewRun("wavelength_sweep", xticks, series, map[string]float64{
-		"nodes":      n,
-		"grad_bytes": d,
-	}))
-	if err := rec.WriteFile("wavelength_sweep.json"); err != nil {
+	f, err := os.Create("wavelength_sweep.json")
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := api.Encode(f, api.FiguresResponse{
+		Version: api.Version,
+		Figures: []api.Figure{api.FigureFrom("wavelength_sweep", fig)},
+	}); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("raw series written to wavelength_sweep.json")

@@ -5,6 +5,7 @@ import (
 
 	"wrht/internal/exp"
 	"wrht/internal/fabric"
+	"wrht/internal/metrics"
 )
 
 // StepCost mirrors fabric.StepCost with stable JSON names.
@@ -251,4 +252,47 @@ type PlanResponse struct {
 	Version string        `json:"version"`
 	Points  []PlanPoint   `json:"points"`
 	Rescue  []RescuePoint `json:"rescue,omitempty"`
+}
+
+// FigureSeries mirrors metrics.Series: one named line of a figure, Y
+// indexed like the figure's x ticks.
+type FigureSeries struct {
+	Name string    `json:"name"`
+	Y    []float64 `json:"y"`
+}
+
+// Figure mirrors metrics.Figure: one subplot of the paper's normalized
+// line charts with its raw series, in figure order.
+type Figure struct {
+	Name    string         `json:"name"`
+	Title   string         `json:"title"`
+	XLabel  string         `json:"x_label"`
+	YLabel  string         `json:"y_label"`
+	XTicks  []string       `json:"x_ticks"`
+	Series  []FigureSeries `json:"series"`
+	Comment string         `json:"comment,omitempty"`
+}
+
+// FigureFrom converts a rendered figure into its API mirror under name
+// ("fig4", "fig5-0", ...).
+func FigureFrom(name string, f *metrics.Figure) Figure {
+	out := Figure{
+		Name:    name,
+		Title:   f.Title,
+		XLabel:  f.XLabel,
+		YLabel:  f.YLabel,
+		XTicks:  f.XTicks,
+		Comment: f.Comment,
+	}
+	for _, s := range f.Series {
+		out.Series = append(out.Series, FigureSeries{Name: s.Name, Y: s.Y})
+	}
+	return out
+}
+
+// FiguresResponse carries the raw series of the figure subcommands
+// (wrhtsim fig4–fig7 and all with -json).
+type FiguresResponse struct {
+	Version string   `json:"version"`
+	Figures []Figure `json:"figures"`
 }

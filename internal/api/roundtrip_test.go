@@ -97,6 +97,15 @@ func TestSchemaRoundTrip(t *testing.T) {
 			N: 1024, Wavelengths: 16, FinalR: 33, Requirement: 33,
 			FallbackSteps: 33, PlannedSteps: 5, FallbackTime: 0.9, PlannedTime: 0.3, Speedup: 3,
 		}},
+		{"FiguresResponse", FiguresResponse{
+			Version: Version,
+			Figures: []Figure{{
+				Name: "fig5-0", Title: "Fig 5", XLabel: "wavelengths", YLabel: "normalized time",
+				XTicks:  []string{"8", "16"},
+				Series:  []FigureSeries{{Name: "WRHT", Y: []float64{1, 0.5}}, {Name: "Ring", Y: []float64{2, 2}}},
+				Comment: "step counts: [4 3]",
+			}},
+		}},
 		{"PlanResponse", PlanResponse{
 			Version: Version,
 			Points:  []PlanPoint{{Fabric: "electrical", R: 4}},

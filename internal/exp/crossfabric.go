@@ -14,7 +14,7 @@ import (
 
 // CrossFabricResult bundles the comparison table with the raw engine
 // results so callers (cmd/wrhtsim -json) can export per-step breakdowns
-// via fabric.BreakdownRun.
+// through api.SimResult.
 type CrossFabricResult struct {
 	Table *metrics.Table
 	// Runs holds one engine result per (algorithm, mode) cell, keyed

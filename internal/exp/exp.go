@@ -25,7 +25,6 @@ import (
 	"wrht/internal/obs"
 	"wrht/internal/optical"
 	"wrht/internal/phys"
-	"wrht/internal/trace"
 )
 
 // baselineWorkload is the workload the paper normalizes Figs 5-7 by.
@@ -485,15 +484,6 @@ func (e *engine) fig7(ns []int) (Fig7Result, error) {
 		return Fig7Result{}, err
 	}
 	return out, nil
-}
-
-// FigureRun converts a rendered figure into a trace.Run for JSON export.
-func FigureRun(name string, f *metrics.Figure) trace.Run {
-	series := map[string][]float64{}
-	for _, s := range f.Series {
-		series[s.Name] = s.Y
-	}
-	return trace.NewRun(name, f.XTicks, series, nil)
 }
 
 // Constraints reproduces the §4.4 analysis: the maximum feasible grouped

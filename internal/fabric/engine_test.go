@@ -4,13 +4,11 @@ import (
 	"errors"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"wrht/internal/core"
 	"wrht/internal/tensor"
 	"wrht/internal/topo"
-	"wrht/internal/trace"
 )
 
 // stubFabric is a minimal deterministic backend: setup is a constant,
@@ -178,34 +176,6 @@ func TestValidateWavelengthsEnforcesBudget(t *testing.T) {
 	}
 	if _, err := (Engine{Fabric: f}).RunSchedule(s, 100); err != nil {
 		t.Fatalf("validation off should not reject: %v", err)
-	}
-}
-
-func TestBreakdownRunShape(t *testing.T) {
-	f := &stubFabric{setup: 1, perByte: 0.1}
-	s := sched(8, step(0, 1, 0), step(2, 3, 0))
-	res, err := Engine{Fabric: f, Opts: Options{Overlap: true}}.RunSchedule(s, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := BreakdownRun("breakdown", res)
-	bySeries := map[string][]trace.Point{}
-	for _, s := range run.Series {
-		bySeries[s.Name] = s.Points
-	}
-	for _, name := range []string{"reconfig", "serialization", "oeo", "router-delay", "overlapped"} {
-		if len(bySeries[name]) != 2 {
-			t.Errorf("series %q has %d points, want 2", name, len(bySeries[name]))
-		}
-	}
-	if pt := bySeries["overlapped"][1]; pt.Y != f.setup || !strings.HasPrefix(pt.X, "1:") {
-		t.Errorf("overlapped[1] = %+v, want setup %g hidden at step 1", pt, f.setup)
-	}
-	if run.Scalars["overlap-saved"] != res.OverlapSaved || run.Scalars["time"] != res.Time {
-		t.Errorf("scalars %v disagree with result %+v", run.Scalars, res)
-	}
-	if run.Params["fabric"] != "stub" || run.Params["algorithm"] != "test" {
-		t.Errorf("params %v", run.Params)
 	}
 }
 

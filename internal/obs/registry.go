@@ -11,9 +11,9 @@
 // Timestamps are simulated seconds supplied by the producer — never
 // time.Now — so an emitted trace file is a pure function of the
 // simulated run and byte-identical across invocations (golden-tested).
-// The only clock the tracer knows is the injectable Clock field, the
-// same pattern trace.Recorder uses for its Now field; it exists for
-// diagnostic wall-clock tracks (sweep progress) and deterministic tests.
+// The only clock the tracer knows is the injectable Clock field; it
+// exists for diagnostic wall-clock tracks (sweep progress) and
+// deterministic tests.
 package obs
 
 import (
