@@ -22,7 +22,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	bt := wrht.BTSchedule(15)
+	bt, err := wrht.Build(wrht.KindBT, 15)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("WRHT needs %d steps; binary tree needs %d (paper Fig 2: 3 vs 8)\n",
 		sched.NumSteps(), bt.NumSteps())
 

@@ -73,20 +73,21 @@ func main() {
 	}
 	table.AddRow("optical 32x32 torus", "WRHT rows+col", fmt.Sprint(ts.NumSteps()), fmt.Sprintf("%.2f", tres.Time*1e3))
 
-	// Electrical fat-tree: same Simulate call, different backend.
-	rd, err := wrht.Build(wrht.KindRD, n)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Electrical fat-tree: same Build and Simulate calls, different
+	// backend.
 	for _, c := range []struct {
-		name  string
-		sched *wrht.Schedule
-	}{{"Ring", wrht.RingSchedule(n)}, {"RD", rd}} {
-		res, err := wrht.Simulate(wrht.ElectricalFatTree, c.sched, d)
+		name string
+		kind wrht.Kind
+	}{{"Ring", wrht.KindRing}, {"RD", wrht.KindRD}} {
+		sched, err := wrht.Build(c.kind, n)
 		if err != nil {
 			log.Fatal(err)
 		}
-		table.AddRow("electrical fat-tree", c.name, fmt.Sprint(c.sched.NumSteps()), fmt.Sprintf("%.2f", res.Time*1e3))
+		res, err := wrht.Simulate(wrht.ElectricalFatTree, sched, d)
+		if err != nil {
+			log.Fatal(err)
+		}
+		table.AddRow("electrical fat-tree", c.name, fmt.Sprint(sched.NumSteps()), fmt.Sprintf("%.2f", res.Time*1e3))
 	}
 
 	fmt.Println(table)

@@ -83,10 +83,9 @@ func WithObserver(ob SimObserver) SimOption {
 	return func(ss *simSpec) { ss.observer = ob }
 }
 
-// Simulate times a collective on a backend, unifying what used to be
-// SimulateOptical, SimulateOpticalProfile and SimulateElectrical (which
-// remain as thin wrappers). The collective c is either an explicit
-// *Schedule or an analytic Profile:
+// Simulate is the single simulation entrypoint: it times a collective
+// on a backend. The collective c is either an explicit *Schedule or an
+// analytic Profile:
 //
 //	res, err := wrht.Simulate(wrht.Optical, sched, 100e6)
 //	res, err := wrht.Simulate(wrht.Optical, profile, 100e6, wrht.WithOpticalParams(p))

@@ -24,8 +24,10 @@
 // kind plus functional options (WithWavelengths, WithGroupSize,
 // WithFaults, …) — and Simulate (simulate.go) the single simulation
 // entrypoint over both fabrics; fault injection and degraded-mode
-// scheduling are exposed through faults.go. The positional quick-start
-// constructors below remain as thin wrappers.
+// scheduling are exposed through faults.go. The helpers below are the
+// public route to what those two do not cover: analytic step profiles,
+// the step-count analysis, the §4.4 constraints, the Table-2 defaults,
+// the workload models and the data-plane and MRR-level executors.
 //
 // The package is a facade over the implementation packages under
 // internal/; the experiment harness behind `cmd/wrhtsim` and the root
@@ -41,7 +43,6 @@ import (
 	"wrht/internal/optical"
 	"wrht/internal/phys"
 	"wrht/internal/tensor"
-	"wrht/internal/topo"
 )
 
 // Core schedule model (see internal/core for full documentation).
@@ -69,34 +70,7 @@ type (
 	ElectricalParams = electrical.Params
 	// Budget is the §4.4 optical link budget (insertion loss, crosstalk).
 	Budget = phys.Budget
-	// Torus is the §6.1 R×C torus topology.
-	Torus = topo.Torus
 )
-
-// NewSchedule constructs the WRHT all-reduce schedule for the
-// configuration (§4.1): hierarchical grouped gathers, a final
-// wavelength-feasible all-to-all among representatives, and the mirrored
-// broadcast stage.
-func NewSchedule(cfg Config) (*Schedule, error) { return core.BuildWRHT(cfg) }
-
-// NewTorusSchedule constructs WRHT on an R×C torus (§6.1): parallel row
-// reduce stages, a column all-reduce among row representatives, and the
-// reversed row broadcasts.
-func NewTorusSchedule(t Torus, wavelengths, groupSize int) (*Schedule, error) {
-	return Build(KindTorus, t.Rows*t.Cols, WithDims(t.Rows, t.Cols),
-		WithWavelengths(wavelengths), WithGroupSize(groupSize))
-}
-
-// NewTorus returns an r×c torus topology.
-func NewTorus(r, c int) Torus { return topo.NewTorus(r, c) }
-
-// Baseline schedule constructors (§5.2), thin wrappers over Build.
-func RingSchedule(n int) *Schedule        { return collective.BuildRing(n) }
-func BTSchedule(n int) *Schedule          { return collective.BuildBT(n) }
-func RDSchedule(n int) (*Schedule, error) { return Build(KindRD, n) }
-func HRingSchedule(n, m, w int) (*Schedule, error) {
-	return Build(KindHRing, n, WithGroupSize(m), WithWavelengths(w))
-}
 
 // Analytic step profiles for timing at arbitrary scale.
 func WRHTProfile(cfg Config) (Profile, error) { return collective.WRHTProfile(cfg) }
@@ -134,30 +108,6 @@ func DefaultOpticalParams() OpticalParams { return optical.DefaultParams() }
 // (two-level fat-tree of 32-port routers, 40 Gb/s links, 25 µs per hop).
 func DefaultElectricalParams() ElectricalParams { return electrical.DefaultParams() }
 
-// SimulateOptical times an explicit schedule carrying a dBytes-sized
-// per-node vector on the optical ring (Eq 6), validating the wavelength
-// budget first. Thin wrapper over Simulate.
-func SimulateOptical(p OpticalParams, s *Schedule, dBytes float64) (SimResult, error) {
-	return Simulate(Optical, s, dBytes, WithOpticalParams(p))
-}
-
-// SimulateOpticalProfile times an analytic profile (preferred at
-// N ≥ thousands, where explicit Ring schedules are large). Thin wrapper
-// over Simulate.
-func SimulateOpticalProfile(p OpticalParams, pr Profile, dBytes float64) (SimResult, error) {
-	return Simulate(Optical, pr, dBytes, WithOpticalParams(p))
-}
-
-// SimulateElectrical times a schedule on the fat-tree with n hosts.
-// Thin wrapper over Simulate, returning just the completion time.
-func SimulateElectrical(p ElectricalParams, n int, s *Schedule, dBytes float64) (float64, error) {
-	res, err := Simulate(ElectricalFatTree, s, dBytes, WithElectricalParams(p), WithHosts(n))
-	if err != nil {
-		return 0, err
-	}
-	return res.Time, nil
-}
-
 // DefaultBudget returns a representative TeraRack-class optical link
 // budget for the §4.4 constraint analysis.
 func DefaultBudget() Budget { return phys.DefaultBudget() }
@@ -176,59 +126,11 @@ func ResNet50() Model  { return dnn.ResNet50() }
 // Workloads returns the four paper workloads in figure order.
 func Workloads() []Model { return dnn.Workloads() }
 
-// NewMesh returns an r×c mesh topology (§6.1).
-func NewMesh(r, c int) topo.Mesh { return topo.NewMesh(r, c) }
-
-// NewMeshSchedule constructs WRHT on an R×C mesh (§6.1): like the torus
-// variant but on lines, with the one-stage line all-to-all in the final
-// reduce step.
-func NewMeshSchedule(m topo.Mesh, wavelengths, groupSize int) (*Schedule, error) {
-	return Build(KindMesh, m.Rows*m.Cols, WithDims(m.Rows, m.Cols),
-		WithWavelengths(wavelengths), WithGroupSize(groupSize))
-}
-
-// NewSegmentSchedule constructs a WRHT all-reduce among an ascending
-// subset of ring positions, confined to the subset's span so that
-// disjoint segments (e.g. per-stage data-parallel groups in hybrid
-// training, §6.2) can run concurrently with full wavelength reuse.
-func NewSegmentSchedule(ringN int, participants []int, wavelengths, groupSize int) (*Schedule, error) {
-	return Build(KindSegment, ringN, WithParticipants(participants...),
-		WithWavelengths(wavelengths), WithGroupSize(groupSize))
-}
-
-// DBTreeSchedule constructs the double-binary-tree all-reduce of [25]
-// (NCCL's algorithm): BT's step count at half the per-step payload.
-func DBTreeSchedule(n int) *Schedule { return collective.BuildDBTree(n) }
-
-// BroadcastSchedule constructs a WRHT-style broadcast from root.
-func BroadcastSchedule(n, wavelengths, root int) (*Schedule, error) {
-	return Build(KindBroadcast, n, WithWavelengths(wavelengths), WithRoot(root))
-}
-
-// ReduceSchedule constructs a WRHT-style reduction to root.
-func ReduceSchedule(n, wavelengths, root int) (*Schedule, error) {
-	return Build(KindReduce, n, WithWavelengths(wavelengths), WithRoot(root))
-}
-
-// ReduceScatterSchedule constructs the ring reduce-scatter; node i ends
-// up owning collective.OwnedChunk(n, i).
-func ReduceScatterSchedule(n int) *Schedule { return collective.BuildReduceScatter(n) }
-
-// AllGatherSchedule constructs the ring all-gather.
-func AllGatherSchedule(n int) *Schedule { return collective.BuildAllGather(n) }
-
 // VerifyMRR runs the micro-ring-resonator-level control-plane check on
 // every step of the schedule (§3.2): each wavelength must be modulated
 // once, reach its receiver unshadowed, and collide with nothing.
 func VerifyMRR(s *Schedule) error { return optical.VerifySchedule(s) }
 
-// WDMHRingSchedule constructs the WDM-enhanced hierarchical ring — a
-// beyond-paper algorithm combining WRHT's wavelength-parallel exchanges
-// with H-Ring's bandwidth-optimal chunking (see
-// internal/collective/wdmhring.go). Requires m | n.
-func WDMHRingSchedule(n, m, w int) (*Schedule, error) {
-	return Build(KindWDMHRing, n, WithGroupSize(m), WithWavelengths(w))
-}
-
-// WDMHRingProfile returns its analytic step profile.
+// WDMHRingProfile returns the analytic step profile of the
+// WDM-enhanced hierarchical ring (KindWDMHRing).
 func WDMHRingProfile(n, m, w int) Profile { return collective.WDMHRingProfile(n, m, w) }

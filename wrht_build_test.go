@@ -9,6 +9,7 @@ import (
 	"wrht"
 	"wrht/internal/collective"
 	"wrht/internal/core"
+	"wrht/internal/electrical"
 	"wrht/internal/fabric"
 	"wrht/internal/topo"
 )
@@ -296,12 +297,16 @@ func TestSimulateMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := wrht.SimulateElectrical(wrht.DefaultElectricalParams(), 64, s, d)
+	nw, err := electrical.NewNetwork(64, wrht.DefaultElectricalParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ge.Time != legacy {
-		t.Errorf("electrical Simulate %.9g != SimulateElectrical wrapper %.9g", ge.Time, legacy)
+	we, err := fabric.Engine{Fabric: nw.Fabric()}.RunSchedule(s, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ge, we) {
+		t.Errorf("electrical Simulate %+v != engine %+v", ge, we)
 	}
 }
 
@@ -309,7 +314,7 @@ func TestSimulateMatchesEngine(t *testing.T) {
 // loudly rather than silently mis-simulate.
 func TestSimulateArgumentErrors(t *testing.T) {
 	prof := wrht.RingProfile(64)
-	s := wrht.RingSchedule(64)
+	s := collective.BuildRing(64)
 	if _, err := wrht.Simulate(wrht.ElectricalFatTree, prof, 1e6); err == nil {
 		t.Error("electrical profile without WithHosts should error")
 	}
