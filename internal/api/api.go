@@ -200,8 +200,8 @@ type SweepRequest struct {
 	Sweep string `json:"sweep"`
 	// N is the crossfabric ring size.
 	N int `json:"n,omitempty"`
-	// Ns lists the overlap/faults ring sizes; empty selects the sweep's
-	// paper defaults ({1024, 4096} and {64, 1024, 4096}).
+	// Ns lists the overlap/faults ring sizes, each ≥ 1; empty selects
+	// the sweep's paper defaults ({1024, 4096} and {64, 1024, 4096}).
 	Ns          []int   `json:"ns,omitempty"`
 	Wavelengths int     `json:"wavelengths"`
 	PayloadMB   float64 `json:"payload_mb"`
@@ -236,8 +236,9 @@ func (r SweepRequest) Key() string { return jsonKey(r.Normalize()) }
 // plus one electrical row per r, and measures the planner rescue on
 // the named fallback configurations.
 type PlanRequest struct {
-	// Rs are the representative counts, AMicros the reconfiguration
-	// delays in µs; both required and non-empty.
+	// Rs are the representative counts, each ≥ 1, and AMicros the
+	// reconfiguration delays in µs, each ≥ 0; both required and
+	// non-empty.
 	Rs          []int     `json:"rs"`
 	Wavelengths int       `json:"wavelengths"`
 	AMicros     []float64 `json:"a_micros"`

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -41,6 +42,11 @@ func RunSweep(o exp.Options, req SweepRequest) (*SweepResponse, []*metrics.Table
 	}
 	if req.Wavelengths < 1 {
 		return nil, nil, Errorf(CodeBadRequest, "sweep %q: wavelengths must be at least 1, got %d", req.Sweep, req.Wavelengths)
+	}
+	for _, n := range req.Ns {
+		if n < 1 {
+			return nil, nil, Errorf(CodeBadRequest, "sweep %q: every ns entry must be at least 1, got %d", req.Sweep, n)
+		}
 	}
 	d := req.PayloadMB * 1e6
 	resp := &SweepResponse{Version: Version, Sweep: req.Sweep}
@@ -124,6 +130,16 @@ func RunPlan(o exp.Options, req PlanRequest) (*PlanResponse, []*metrics.Table, *
 	}
 	if req.PayloadMB <= 0 {
 		return nil, nil, Errorf(CodeBadRequest, "plan: payload_mb must be positive, got %g", req.PayloadMB)
+	}
+	for _, r := range req.Rs {
+		if r < 1 {
+			return nil, nil, Errorf(CodeBadRequest, "plan: every rs entry must be at least 1, got %d", r)
+		}
+	}
+	for _, a := range req.AMicros {
+		if a < 0 || math.IsNaN(a) {
+			return nil, nil, Errorf(CodeBadRequest, "plan: every a_micros entry must be non-negative, got %g", a)
+		}
 	}
 	d := req.PayloadMB * 1e6
 	r, err := exp.PlanSweep(o, req.Rs, []int{req.Wavelengths}, req.AMicros, d)

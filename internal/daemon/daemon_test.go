@@ -151,6 +151,35 @@ func TestErrorEnvelopes(t *testing.T) {
 	}
 }
 
+// TestMalformedGridsAreBadRequests: grid entries that used to panic on
+// a sweep worker goroutine, killing the daemon, are typed 400s, and the
+// daemon then answers requests at the bounds (N = 1, a = 0).
+func TestMalformedGridsAreBadRequests(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/sweep", `{"sweep":"faults","ns":[0],"wavelengths":2,"payload_mb":1}`},
+		{"/v1/plan", `{"rs":[0],"wavelengths":8,"a_micros":[25],"payload_mb":1}`},
+		{"/v1/plan", `{"rs":[-2],"wavelengths":8,"a_micros":[25],"payload_mb":1}`},
+		{"/v1/plan", `{"rs":[4],"wavelengths":8,"a_micros":[-25],"payload_mb":1}`},
+	} {
+		code, b := postJSON(t, ts.URL+tc.path, tc.body)
+		if code != http.StatusBadRequest {
+			t.Fatalf("%s %s: status = %d, want 400 (body %s)", tc.path, tc.body, code, b)
+		}
+		if e := decodeErrorEnvelope(t, b); e.Code != api.CodeBadRequest {
+			t.Errorf("%s %s: code = %q, want %q", tc.path, tc.body, e.Code, api.CodeBadRequest)
+		}
+	}
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/sweep", `{"sweep":"faults","ns":[1],"wavelengths":2,"payload_mb":1}`},
+		{"/v1/plan", `{"rs":[4],"wavelengths":8,"a_micros":[0],"payload_mb":1,"no_rescue":true}`},
+	} {
+		if code, b := postJSON(t, ts.URL+tc.path, tc.body); code != http.StatusOK {
+			t.Errorf("%s %s: status = %d, want 200 (body %s)", tc.path, tc.body, code, b)
+		}
+	}
+}
+
 func TestMethodNotAllowed(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/v1/build")
