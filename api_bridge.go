@@ -212,6 +212,9 @@ func ServeSimulate(req api.SimulateRequest) (*api.SimulateResponse, *api.Error) 
 	if req.PayloadBytes <= 0 {
 		return nil, api.Errorf(api.CodeBadRequest, "simulate: payload_bytes must be positive, got %g", req.PayloadBytes)
 	}
+	if req.Hosts < 0 {
+		return nil, api.Errorf(api.CodeBadRequest, "simulate: hosts must not be negative, got %d", req.Hosts)
+	}
 	backend := Backend(req.Backend)
 	switch backend {
 	case Optical, ElectricalFatTree:

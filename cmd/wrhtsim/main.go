@@ -24,13 +24,14 @@
 // an api.FiguresResponse holding each figure's raw series.
 //
 // The overlap subcommand compares the engine's opportunistic overlap
-// mode against schedules rewritten by the internal/ir pass pipeline
-// (DESIGN.md §2.5), reporting hidden-reconfig counts, hidden setup
-// time and total time per ring size. Without -n it covers N ∈ {1024,
-// 4096}. -passes selects the pipeline ("all", "none", or a
-// comma-separated subset of reorder, recolor, split); -check makes the
-// run exit nonzero unless the passes strictly beat the baseline
-// hidden-reconfig count at every point (the CI smoke gate).
+// mode on the natural WRHT schedule against the same schedule rewritten
+// by the internal/ir split pass (DESIGN.md §2.5), reporting
+// hidden-reconfig counts, hidden setup time and total time per ring
+// size. Without -n it covers N ∈ {1024, 4096}. -passes selects the
+// pipeline ("all" or "split" for the split pass, "none" for the
+// identity control); -check makes the run exit nonzero unless the
+// passes strictly beat the baseline hidden-reconfig count at every
+// point (the CI smoke gate).
 //
 // The plan subcommand sweeps the internal/plan cost-model planner for
 // the final all-to-all over an (r, a) grid at the -w budget (DESIGN.md
@@ -163,7 +164,7 @@ func main() {
 	payloadMB := flag.Float64("d", 100, "crossfabric/faults/overlap subcommands: payload per node in MB")
 	stream := flag.Bool("stream", false, "build subcommand: stream-and-consume instead of materializing the schedule")
 	memstats := flag.Bool("memstats", false, "build subcommand: report peak live heap and bytes/node for the construction")
-	passSpec := flag.String("passes", "all", "overlap subcommand: IR passes to run (all, none, or comma-separated reorder,recolor,split)")
+	passSpec := flag.String("passes", "all", "overlap subcommand: IR passes to run (all or split, or none for the identity control)")
 	check := flag.Bool("check", false, "overlap/plan subcommands: exit nonzero unless the gate holds at every point")
 	planR := flag.String("r", "8,16,32", "plan subcommand: comma-separated representative counts")
 	planA := flag.String("a", "25", "plan subcommand: comma-separated reconfiguration delays in µs")

@@ -174,8 +174,8 @@ type SimulateRequest struct {
 	// Overlap enables the reconfiguration–communication overlap mode
 	// (optical only).
 	Overlap bool `json:"overlap,omitempty"`
-	// Hosts sets the electrical fat-tree host count (defaults to the
-	// schedule's ring size).
+	// Hosts sets the electrical fat-tree host count, ≥ 0 (0 selects
+	// the schedule's ring size).
 	Hosts int `json:"hosts,omitempty"`
 	// NoValidate skips the optical pre-run schedule validation.
 	NoValidate bool `json:"no_validate,omitempty"`
@@ -205,8 +205,8 @@ type SweepRequest struct {
 	Ns          []int   `json:"ns,omitempty"`
 	Wavelengths int     `json:"wavelengths"`
 	PayloadMB   float64 `json:"payload_mb"`
-	// Passes selects the overlap IR pipeline ("all", "none", or a
-	// comma-separated subset of reorder, recolor, split).
+	// Passes selects the overlap IR pipeline: "all" or "split" (the
+	// same one-pass pipeline; empty selects it too) or "none".
 	Passes string `json:"passes,omitempty"`
 	// Dead lists the faults sweep's dead-wavelength counts (empty
 	// selects {0, 1, 2, 4, 8}); Seed seeds the fault sampling (0

@@ -46,7 +46,7 @@ func TestSchemaRoundTrip(t *testing.T) {
 		}},
 		{"SweepRequest", SweepRequest{
 			Sweep: "overlap", N: 64, Ns: []int{1024, 4096}, Wavelengths: 64,
-			PayloadMB: 100, Passes: "reorder,split", Dead: []int{0, 2}, Seed: 9, Check: true,
+			PayloadMB: 100, Passes: "split", Dead: []int{0, 2}, Seed: 9, Check: true,
 		}},
 		{"PlanRequest", PlanRequest{
 			Rs: []int{4, 8}, Wavelengths: 8, AMicros: []float64{0.4, 25},

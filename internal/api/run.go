@@ -79,7 +79,7 @@ func RunSweep(o exp.Options, req SweepRequest) (*SweepResponse, []*metrics.Table
 		if len(ns) == 0 {
 			ns = []int{1024, 4096} // the golden pair the CLI defaults to
 		}
-		passes, err := exp.ParsePasses(req.Passes, o.Optical, d)
+		passes, err := exp.ParsePasses(req.Passes)
 		if err != nil {
 			return nil, nil, Errorf(CodeBadRequest, "%v", err)
 		}

@@ -161,6 +161,8 @@ func TestMalformedGridsAreBadRequests(t *testing.T) {
 		{"/v1/plan", `{"rs":[0],"wavelengths":8,"a_micros":[25],"payload_mb":1}`},
 		{"/v1/plan", `{"rs":[-2],"wavelengths":8,"a_micros":[25],"payload_mb":1}`},
 		{"/v1/plan", `{"rs":[4],"wavelengths":8,"a_micros":[-25],"payload_mb":1}`},
+		{"/v1/simulate", `{"backend":"electrical","build":{"kind":"ring","n":8},"payload_bytes":1024,"hosts":-1}`},
+		{"/v1/sweep", `{"sweep":"overlap","ns":[64],"wavelengths":8,"payload_mb":1,"passes":"reorder"}`},
 	} {
 		code, b := postJSON(t, ts.URL+tc.path, tc.body)
 		if code != http.StatusBadRequest {
@@ -173,6 +175,8 @@ func TestMalformedGridsAreBadRequests(t *testing.T) {
 	for _, tc := range []struct{ path, body string }{
 		{"/v1/sweep", `{"sweep":"faults","ns":[1],"wavelengths":2,"payload_mb":1}`},
 		{"/v1/plan", `{"rs":[4],"wavelengths":8,"a_micros":[0],"payload_mb":1,"no_rescue":true}`},
+		{"/v1/simulate", `{"backend":"electrical","build":{"kind":"ring","n":8},"payload_bytes":1024,"hosts":0}`},
+		{"/v1/sweep", `{"sweep":"overlap","ns":[64],"wavelengths":8,"payload_mb":1,"passes":"split"}`},
 	} {
 		if code, b := postJSON(t, ts.URL+tc.path, tc.body); code != http.StatusOK {
 			t.Errorf("%s %s: status = %d, want 200 (body %s)", tc.path, tc.body, code, b)

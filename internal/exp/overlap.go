@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"wrht/internal/core"
 	"wrht/internal/fabric"
@@ -14,58 +13,35 @@ import (
 
 // OverlapPasses returns the default overlap-maximizing pass pipeline
 // for a fabric with p's timing parameters and a dBytes per-node
-// payload: dependency-legal reordering, boundary-biased wavelength
-// re-assignment, then wavelength-shifted step splitting gated on the
-// paper's hiding condition (half a step's serialization must cover the
-// 25 µs MRR retune).
+// payload: wavelength-shifted step splitting gated on the paper's
+// hiding condition (half a step's serialization must cover the 25 µs
+// MRR retune).
 func OverlapPasses(p optical.Params, dBytes float64) []ir.Pass {
-	return []ir.Pass{
-		ir.Reorder{},
-		ir.Recolor{},
-		&ir.Split{
-			SetupSeconds:   p.ReconfigDelay,
-			BytesPerSecond: p.BandwidthBps / 8,
-			PayloadBytes:   dBytes,
-		},
-	}
+	return []ir.Pass{&ir.Split{
+		SetupSeconds:   p.ReconfigDelay,
+		BytesPerSecond: p.BandwidthBps / 8,
+		PayloadBytes:   dBytes,
+	}}
 }
 
 // ParsePasses resolves a pass-selection spec (the -passes flag and the
-// sweep request's "passes" field): "all" (or empty) selects the default
-// pipeline (nil, so OverlapSweep uses OverlapPasses), "none" the
-// identity pipeline (an empty non-nil slice — a round-trip control),
-// anything else a comma-separated pass subset in the given order.
-func ParsePasses(spec string, p optical.Params, dBytes float64) ([]ir.Pass, error) {
+// sweep request's "passes" field): "all", "split" or empty select the
+// default pipeline (nil, so OverlapSweep uses OverlapPasses), and
+// "none" the identity pipeline (an empty non-nil slice — a round-trip
+// control).
+func ParsePasses(spec string) ([]ir.Pass, error) {
 	switch spec {
-	case "", "all":
+	case "", "all", "split":
 		return nil, nil
 	case "none":
 		return []ir.Pass{}, nil
 	}
-	var out []ir.Pass
-	for _, name := range strings.Split(spec, ",") {
-		switch strings.TrimSpace(name) {
-		case "reorder":
-			out = append(out, ir.Reorder{})
-		case "recolor":
-			out = append(out, ir.Recolor{})
-		case "split":
-			out = append(out, &ir.Split{
-				SetupSeconds:   p.ReconfigDelay,
-				BytesPerSecond: p.BandwidthBps / 8,
-				PayloadBytes:   dBytes,
-			})
-		default:
-			return nil, fmt.Errorf("unknown IR pass %q (want reorder, recolor, split, all or none)", name)
-		}
-	}
-	return out, nil
+	return nil, fmt.Errorf("unknown IR pass %q (want split, all or none)", spec)
 }
 
-// OverlapPoint is one row of the overlap sweep: the opportunistic
-// baseline (the engine probing each step boundary itself) versus the
-// same schedule rewritten by the IR passes and timed with precomputed
-// boundary decisions.
+// OverlapPoint is one row of the overlap sweep: the natural schedule
+// versus the same schedule rewritten by the IR passes, both timed by
+// the engine in overlap mode.
 type OverlapPoint struct {
 	N, W int
 	// Steps and Hidden count schedule steps and step boundaries whose
@@ -86,10 +62,10 @@ type OverlapSweepResult struct {
 }
 
 // OverlapSweep times WRHT at w wavelengths for every ring size in ns,
-// in overlap mode, twice per point: once opportunistically (the
-// baseline — the engine probes each boundary) and once after running
-// the IR pass pipeline with the passes' boundary decisions supplied to
-// the engine up front. A nil passes slice selects OverlapPasses for
+// in overlap mode, twice per point: once as built (the baseline) and
+// once after running the IR pass pipeline. Both runs leave every
+// boundary decision to the engine's own probe. A nil passes slice
+// selects OverlapPasses for
 // o.Optical; an empty non-nil slice runs the identity pipeline (useful
 // as a round-trip control). Options.Trace/Metrics receive per-pass
 // spans and counters through obs.IRObserver.
@@ -122,10 +98,7 @@ func (e *engine) overlapSweep(ns []int, w int, dBytes float64, passes []ir.Pass)
 		if err := (ir.Pipeline{Passes: passes, Observer: irObs}).Run(p); err != nil {
 			return OverlapPoint{}, fmt.Errorf("overlap passes (N=%d): %w", n, err)
 		}
-		passed, err := fabric.Engine{
-			Fabric: e.optFab,
-			Opts:   fabric.Options{Overlap: true, BoundaryDisjoint: p.Boundaries()},
-		}.RunSchedule(p.Raise(), dBytes)
+		passed, err := fabric.Engine{Fabric: e.optFab, Opts: fabric.Options{Overlap: true}}.RunSchedule(p.Raise(), dBytes)
 		if err != nil {
 			return OverlapPoint{}, fmt.Errorf("overlap pass run (N=%d): %w", n, err)
 		}

@@ -31,14 +31,6 @@ type Options struct {
 	// the overlap probes so first-fit/saturation counters accumulate
 	// there.
 	RWAStats *rwa.Stats
-	// BoundaryDisjoint, when non-nil, supplies the overlap mode's
-	// per-boundary disjointness decisions up front: entry k-1 answers
-	// whether steps k-1 and k may hold their circuits simultaneously,
-	// replacing the per-boundary rwa probe. internal/ir computes it
-	// (Program.Boundaries) so schedules rewritten by IR passes are
-	// consumed without re-probing. The length must be NumSteps()-1 (0
-	// for empty schedules); it is ignored unless Overlap is set.
-	BoundaryDisjoint []bool
 }
 
 // Engine executes collective schedules and analytic profiles on a
@@ -103,10 +95,6 @@ func (e Engine) RunSchedule(s *core.Schedule, dBytes float64) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("fabric: %w", err)
 	}
-	bd := e.Opts.BoundaryDisjoint
-	if e.Opts.Overlap && bd != nil && len(bd) != max(s.NumSteps()-1, 0) {
-		return Result{}, fmt.Errorf("fabric: BoundaryDisjoint carries %d boundaries for a %d-step schedule", len(bd), s.NumSteps())
-	}
 	res := Result{Fabric: f.Name(), Algorithm: s.Algorithm}
 	if err := e.timeSteps(s.Source(), elems, nil, &res); err != nil {
 		return Result{}, err
@@ -126,8 +114,7 @@ func (e Engine) RunSchedule(s *core.Schedule, dBytes float64) (Result, error) {
 // occupancy index instead of up front, so on an invalid schedule any
 // Observer has already seen the steps before the offending one; the
 // StepEvent.Step pointer is only valid during the callback (it aliases
-// the producer's buffer); and a too-short Options.BoundaryDisjoint is
-// only detected when the stream outruns it. PerStep is still populated
+// the producer's buffer). PerStep is still populated
 // per step — WRHT-family streams have O(log N) steps; callers running
 // O(N)-step baseline streams who need O(1) memory should consume an
 // Observer instead and discard PerStep.
@@ -153,9 +140,6 @@ func (e Engine) RunStream(src core.StepSource, dBytes float64) (Result, error) {
 	if err := e.timeSteps(src, elems, v, &res); err != nil {
 		return Result{}, err
 	}
-	if bd := e.Opts.BoundaryDisjoint; e.Opts.Overlap && bd != nil && len(bd) != max(res.Steps-1, 0) {
-		return Result{}, fmt.Errorf("fabric: BoundaryDisjoint carries %d boundaries for a %d-step schedule", len(bd), res.Steps)
-	}
 	return res, nil
 }
 
@@ -176,9 +160,7 @@ func (e Engine) timeSteps(src core.StepSource, elems int, v *core.StepValidator,
 				return err
 			}
 		}
-		if err := fd.Step(res, stp, elems); err != nil {
-			return err
-		}
+		fd.Step(res, stp, elems)
 	}
 }
 

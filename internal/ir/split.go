@@ -40,9 +40,6 @@ type Split struct {
 	// PayloadBytes is the per-node vector size d the schedule will
 	// carry.
 	PayloadBytes float64
-	// MaxSplits bounds the number of steps split in one application;
-	// zero means unlimited.
-	MaxSplits int
 }
 
 // Name implements Pass.
@@ -50,12 +47,8 @@ func (*Split) Name() string { return "split" }
 
 // Apply implements Pass.
 func (sp *Split) Apply(p *Program) (bool, error) {
-	splits := 0
 	changed := false
 	for k := 0; k < len(p.Steps); k++ {
-		if sp.MaxSplits > 0 && splits >= sp.MaxSplits {
-			break
-		}
 		st := &p.Steps[k]
 		if len(st.Transfers) == 0 || !sp.profitable(st) {
 			continue
@@ -82,12 +75,8 @@ func (sp *Split) Apply(p *Program) (bool, error) {
 		copy(p.Steps[k+2:], p.Steps[k+1:])
 		p.Steps[k] = s1
 		p.Steps[k+1] = s2
-		splits++
 		changed = true
 		k++ // skip the freshly created second half
-	}
-	if changed {
-		p.analyze() // step count and chunks changed: rebuild dependencies
 	}
 	return changed, nil
 }

@@ -37,12 +37,12 @@ func TestIRObserverCountersAndSpans(t *testing.T) {
 
 func TestIRObserverIsNilSafe(t *testing.T) {
 	// No sinks at all: must not panic.
-	NewIRObserver(nil, nil).PassApplied(ir.PassEvent{Pass: "reorder"})
+	NewIRObserver(nil, nil).PassApplied(ir.PassEvent{Pass: "split"})
 	// A tracer without a wall clock must stay span-free: pass timing is
 	// wall-clock diagnostics, not simulated time, and must never leak
 	// into byte-stable simulated-timeline traces.
 	tr := NewTracer()
-	NewIRObserver(tr, nil).PassApplied(ir.PassEvent{Pass: "reorder", Seconds: 1})
+	NewIRObserver(tr, nil).PassApplied(ir.PassEvent{Pass: "split", Seconds: 1})
 	if tr.Events() != 0 {
 		t.Errorf("clockless tracer recorded %d events, want 0", tr.Events())
 	}

@@ -21,7 +21,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"wrht/internal/core"
@@ -148,10 +147,7 @@ func (pl *Planner) Plan(ring topo.Ring, reps []int, dBytes float64) (Decision, e
 		if err := pl.validateRounds(ring, steps); err != nil {
 			return Decision{}, fmt.Errorf("plan: candidate %s: %w", p, err)
 		}
-		t, err := pl.price(steps, elems)
-		if err != nil {
-			return Decision{}, fmt.Errorf("plan: price %s: %w", p, err)
-		}
+		t := pl.price(steps, elems)
 		pl.cands = append(pl.cands, Candidate{Plan: p, Steps: len(steps), Predicted: t})
 		if best < 0 || t < pl.cands[best].Predicted {
 			best = len(pl.cands) - 1
@@ -201,15 +197,13 @@ func (pl *Planner) validateRounds(ring topo.Ring, steps []core.Step) error {
 // the candidate's Predicted is the time fabric.Engine will simulate.
 // Each candidate is a fresh step sequence (Restart) within the Plan
 // call's run (Reset), sharing the fold's pooled probe.
-func (pl *Planner) price(steps []core.Step, elems int) (float64, error) {
+func (pl *Planner) price(steps []core.Step, elems int) float64 {
 	pl.fold.Restart()
 	pl.res = fabric.Result{PerStep: pl.res.PerStep[:0]}
 	for k := range steps {
-		if err := pl.fold.Step(&pl.res, &steps[k], elems); err != nil {
-			return 0, err
-		}
+		pl.fold.Step(&pl.res, &steps[k], elems)
 	}
-	return pl.res.Time, nil
+	return pl.res.Time
 }
 
 // Cost is the analytic closed form of a plan's execution time without
@@ -222,23 +216,4 @@ func (pl *Planner) price(steps []core.Step, elems int) (float64, error) {
 // argmin across the swept grid (asserted by TestCostArgminConsistent).
 func Cost(p core.PhasePlan, dBytes, aSec, bandwidthBps float64) float64 {
 	return float64(p.NumSteps())*aSec + p.SerWeight()*dBytes*8/bandwidthBps
-}
-
-// sortedNodes collects the distinct node ids touched by the steps in
-// ascending order — the representative set of an all-to-all phase span.
-func sortedNodes(steps []core.Step) []int {
-	seen := map[int]bool{}
-	var out []int
-	for i := range steps {
-		for _, t := range steps[i].Transfers {
-			for _, n := range [2]int{t.Src, t.Dst} {
-				if !seen[n] {
-					seen[n] = true
-					out = append(out, n)
-				}
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -293,57 +293,6 @@ func (ix *Index) FirstFree(dir topo.Direction, a topo.Arc) int {
 	return w
 }
 
-// FirstFreeAvoiding returns the lowest wavelength free on every segment
-// of arc a in direction dir in *both* this index and avoid — a biased
-// first-fit: avoid typically holds the circuits of the adjacent
-// schedule steps, so the pick breaks (direction, wavelength) clashes at
-// step boundaries and keeps the boundary overlap-eligible (see
-// internal/ir's recolor pass). If no such wavelength exists below limit
-// (limit <= 0 means uncapped), the bias is dropped and the plain
-// FirstFree answer is returned, so the assignment never degrades below
-// unbiased first-fit. avoid may be nil (plain FirstFree) but must be
-// built for the same ring size otherwise.
-func (ix *Index) FirstFreeAvoiding(dir topo.Direction, a topo.Arc, avoid *Index, limit int) int {
-	if avoid == nil {
-		return ix.FirstFree(dir, a)
-	}
-	if avoid.n != ix.n {
-		panic(fmt.Sprintf("rwa: avoid index ring size %d != %d", avoid.n, ix.n))
-	}
-	t0 := probeStart(ix.Stats)
-	lo1, hi1, lo2, hi2 := ix.arcRanges(a)
-	words := max(ix.words, avoid.words)
-	w := words << 6
-	scanned := 0
-	for k := 0; k < words; k++ {
-		var m uint64
-		if k < ix.words {
-			m = ix.unionWord(dir, k, lo1, hi1, lo2, hi2)
-		}
-		if m != full && k < avoid.words {
-			m |= avoid.unionWord(dir, k, lo1, hi1, lo2, hi2)
-		}
-		scanned++
-		if m != full {
-			w = k<<6 + bits.TrailingZeros64(^m)
-			break
-		}
-	}
-	if st := ix.Stats; st != nil {
-		st.BiasedFitCalls.Add(1)
-		st.WordsScanned.Add(int64(scanned))
-	}
-	probeEnd(ix.Stats, t0)
-	if limit > 0 && w >= limit {
-		if st := ix.Stats; st != nil {
-			st.BiasedFallbacks.Add(1)
-		}
-		// The fallback FirstFree times itself.
-		return ix.FirstFree(dir, a)
-	}
-	return w
-}
-
 // RandomFree draws a uniformly random free wavelength on arc a in
 // direction dir, reproducing the legacy draw exactly: the candidate set
 // is the free wavelengths below max(occupied on the arc)+2, enumerated

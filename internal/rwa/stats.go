@@ -21,12 +21,6 @@ type Stats struct {
 	// occupied — the early-exit case the block summaries make nearly
 	// free.
 	SaturatedWords atomic.Int64
-	// BiasedFitCalls counts FirstFreeAvoiding probes (boundary-biased
-	// first-fit, used by the ir recolor pass).
-	BiasedFitCalls atomic.Int64
-	// BiasedFallbacks counts biased probes whose avoid-aware pick missed
-	// the wavelength cap and fell back to plain first-fit.
-	BiasedFallbacks atomic.Int64
 	// ConflictProbes counts ConflictFree invocations (one per overlap
 	// boundary the fabric engine considers).
 	ConflictProbes atomic.Int64
@@ -35,9 +29,9 @@ type Stats struct {
 	ConflictsFound atomic.Int64
 
 	// Latency, when non-nil, receives every probe's wall-clock duration
-	// in seconds (FirstFree, FirstFreeAvoiding, RandomFree,
-	// ConflictFree). The sink must be safe for concurrent use —
-	// obs.Histogram.Observe is the intended implementation. Set it
+	// in seconds (FirstFree, RandomFree, ConflictFree). The sink must
+	// be safe for concurrent use — obs.Histogram.Observe is the
+	// intended implementation. Set it
 	// before the first probe; it is read without synchronization on the
 	// hot path (a nil Latency adds one pointer comparison per probe).
 	Latency interface{ Observe(float64) }
@@ -55,8 +49,6 @@ func (st *Stats) Publish(sink func(name string, v int64)) {
 	sink("rwa.randomfit.calls", st.RandomFitCalls.Load())
 	sink("rwa.words.scanned", st.WordsScanned.Load())
 	sink("rwa.words.saturated", st.SaturatedWords.Load())
-	sink("rwa.biasedfit.calls", st.BiasedFitCalls.Load())
-	sink("rwa.biasedfit.fallbacks", st.BiasedFallbacks.Load())
 	sink("rwa.conflict.probes", st.ConflictProbes.Load())
 	sink("rwa.conflict.found", st.ConflictsFound.Load())
 }
