@@ -200,6 +200,9 @@ func Build(kind Kind, n int, opts ...BuildOption) (*Schedule, error) {
 		if !bs.set["WithDims"] {
 			return nil, fmt.Errorf("wrht: kind %q needs WithDims(r, c)", kind)
 		}
+		if bs.rows < 1 || bs.cols < 1 {
+			return nil, fmt.Errorf("wrht: %s WithDims(%d, %d) needs at least one row and one column", kind, bs.rows, bs.cols)
+		}
 		if bs.rows*bs.cols != n {
 			return nil, fmt.Errorf("wrht: %dx%d %s has %d nodes, Build was given n=%d",
 				bs.rows, bs.cols, kind, bs.rows*bs.cols, n)

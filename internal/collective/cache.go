@@ -10,10 +10,9 @@ import (
 // ProfileCache memoizes analytic collective profiles so a sweep that
 // revisits a configuration (every figure of §5 does, once per DNN
 // workload) constructs each profile exactly once, even when sweep
-// points are evaluated concurrently. It follows the lineA2ACache
-// pattern in core/mesh.go — a mutexed map of entries — but adds a
-// per-entry sync.Once so two goroutines racing on a cold key never
-// both build, and a build counter so tests can prove single
+// points are evaluated concurrently. It is a mutexed map of entries
+// with a per-entry sync.Once, so two goroutines racing on a cold key
+// never both build, and a build counter so tests can prove single
 // construction. Profiles are immutable once built, so returning the
 // shared value to concurrent readers is safe.
 type ProfileCache struct {

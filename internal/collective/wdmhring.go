@@ -31,94 +31,23 @@ import (
 // lineA2AGroupSteps builds the in-group all-to-all as one or more steps
 // respecting the wavelength budget. members are ascending ring
 // positions; payloadOf returns the chunk transfer (i→j) carries; op is
-// applied at the destination.
+// applied at the destination. Routing and coloring are core's line
+// all-to-all; this function only chooses the payloads and splits the
+// colors by budget: sub-step b carries wavelengths [b·w, (b+1)·w),
+// remapped down to [0, w).
 func lineA2AGroupSteps(members []int, w int, payloadOf func(srcIdx, dstIdx int) tensor.Chunk, op tensor.ReduceOp, phase core.Phase) []core.Step {
-	k := len(members)
-	type arc struct {
-		src, dst, wl int
-		dir          topo.Direction
-	}
-	var arcs []arc
-	// Route and color both fibers of the line all-to-all via the core
-	// construction exposed through BuildWRHTSegment's machinery: rebuild
-	// locally to keep chunk control. Right-going flows (i<j) and
-	// left-going flows (i>j) are interval-colored independently.
-	color := func(pairs [][2]int) []int {
-		// first-fit by (lo, longest first): optimal for intervals.
-		order := make([]int, len(pairs))
-		for i := range order {
-			order[i] = i
+	var steps []core.Step
+	core.LineAllToAll(len(members), func(src, dst int, dir topo.Direction, color int) {
+		b := color / w
+		for len(steps) <= b {
+			steps = append(steps, core.Step{Phase: phase})
 		}
-		lo := func(p [2]int) int { return min(p[0], p[1]) }
-		hi := func(p [2]int) int { return max(p[0], p[1]) }
-		for i := 1; i < len(order); i++ {
-			for j := i; j > 0; j-- {
-				a, b := pairs[order[j-1]], pairs[order[j]]
-				if lo(b) < lo(a) || (lo(b) == lo(a) && hi(b) > hi(a)) {
-					order[j-1], order[j] = order[j], order[j-1]
-				} else {
-					break
-				}
-			}
-		}
-		colors := make([]int, len(pairs))
-		var busy []int
-		for _, idx := range order {
-			p := pairs[idx]
-			c := -1
-			for ci, until := range busy {
-				if until <= lo(p) {
-					c = ci
-					break
-				}
-			}
-			if c < 0 {
-				busy = append(busy, 0)
-				c = len(busy) - 1
-			}
-			busy[c] = hi(p)
-			colors[idx] = c
-		}
-		return colors
-	}
-	var right, left [][2]int
-	for i := 0; i < k; i++ {
-		for j := 0; j < k; j++ {
-			if i < j {
-				right = append(right, [2]int{i, j})
-			} else if i > j {
-				left = append(left, [2]int{i, j})
-			}
-		}
-	}
-	rc, lc := color(right), color(left)
-	for x, p := range right {
-		arcs = append(arcs, arc{src: p[0], dst: p[1], wl: rc[x], dir: topo.CW})
-	}
-	for x, p := range left {
-		arcs = append(arcs, arc{src: p[0], dst: p[1], wl: lc[x], dir: topo.CCW})
-	}
-	// Split by wavelength budget: sub-step b carries wavelengths
-	// [b·w, (b+1)·w), remapped down to [0, w).
-	maxWl := 0
-	for _, a := range arcs {
-		if a.wl+1 > maxWl {
-			maxWl = a.wl + 1
-		}
-	}
-	nSub := (maxWl + w - 1) / w
-	steps := make([]core.Step, nSub)
-	for i := range steps {
-		steps[i].Phase = phase
-	}
-	for _, a := range arcs {
-		b := a.wl / w
 		steps[b].Transfers = append(steps[b].Transfers, core.Transfer{
-			Src: members[a.src], Dst: members[a.dst],
-			Chunk: payloadOf(a.src, a.dst), Op: op,
-			Dir: a.dir, Wavelength: a.wl % w,
+			Src: members[src], Dst: members[dst],
+			Chunk: payloadOf(src, dst), Op: op,
+			Dir: dir, Wavelength: color % w,
 		})
-	}
+	})
 	return steps
 }
 

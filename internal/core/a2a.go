@@ -2,9 +2,7 @@ package core
 
 import (
 	"sort"
-	"sync"
 
-	"wrht/internal/tensor"
 	"wrht/internal/topo"
 )
 
@@ -174,8 +172,6 @@ func ccwShift(k int) int {
 	return (k/2 + 1) / 2
 }
 
-var a2aReqCache sync.Map // int -> int
-
 // AllToAllRequirement returns the wavelength count the constructive
 // all-to-all exchange among k representatives actually needs (the
 // maximum over the two fibers). It equals AllToAllWavelengths(k) for
@@ -184,39 +180,5 @@ func AllToAllRequirement(k int) int {
 	if k <= 1 {
 		return 0
 	}
-	if v, ok := a2aReqCache.Load(k); ok {
-		return v.(int)
-	}
-	cw, ccw := routeAllToAll(k)
-	_, ncw := tileColor(cw, k)
-	_, nccw := colorFiber(ccw, k, ccwShift(k))
-	req := ncw
-	if nccw > req {
-		req = nccw
-	}
-	a2aReqCache.Store(k, req)
-	return req
-}
-
-// buildAllToAllStep emits the physical all-to-all step for the given
-// representatives (ascending ring positions) using the virtual-ring
-// construction.
-func buildAllToAllStep(ring topo.Ring, reps []int) Step {
-	k := len(reps)
-	st := Step{Phase: PhaseAllToAll}
-	cw, ccw := routeAllToAll(k)
-	cwColors, _ := tileColor(cw, k)
-	ccwColors, _ := colorFiber(ccw, k, ccwShift(k))
-	emit := func(arcs []virtualArc, colors []int) {
-		for i, a := range arcs {
-			st.Transfers = append(st.Transfers, Transfer{
-				Src: reps[a.Src], Dst: reps[a.Dst],
-				Chunk: tensor.Whole, Op: tensor.OpSum,
-				Dir: a.Dir, Wavelength: colors[i],
-			})
-		}
-	}
-	emit(cw, cwColors)
-	emit(ccw, ccwColors)
-	return st
+	return ringTmpl(k).need
 }

@@ -316,10 +316,12 @@ func DefaultPhasePlan(r, w int) (PhasePlan, bool) {
 // --- step construction ---------------------------------------------------
 
 // lineTemplate caches the routed-and-colored one-shot line exchange for
-// k participants (shared by every group of the same size).
+// k participants (shared by every group of the same size); need is the
+// larger of the two fibers' color counts.
 type lineTemplate struct {
 	right, left []lineArc
 	rc, lc      []int
+	need        int
 }
 
 var lineTmplCache sync.Map // int -> *lineTemplate
@@ -329,18 +331,19 @@ func lineTmpl(k int) *lineTemplate {
 		return v.(*lineTemplate)
 	}
 	right, left := routeLineAllToAll(k)
-	rc, _ := colorLine(right)
-	lc, _ := colorLine(left)
-	t := &lineTemplate{right: right, left: left, rc: rc, lc: lc}
+	rc, nr := colorLine(right)
+	lc, nl := colorLine(left)
+	t := &lineTemplate{right: right, left: left, rc: rc, lc: lc, need: max(nr, nl)}
 	lineTmplCache.Store(k, t)
 	return t
 }
 
 // ringTemplate caches the routed-and-colored ring all-to-all for k
-// participants.
+// participants; need is the larger of the two fibers' color counts.
 type ringTemplate struct {
 	cw, ccw             []virtualArc
 	cwColors, ccwColors []int
+	need                int
 }
 
 var ringTmplCache sync.Map // int -> *ringTemplate
@@ -350,11 +353,28 @@ func ringTmpl(k int) *ringTemplate {
 		return v.(*ringTemplate)
 	}
 	cw, ccw := routeAllToAll(k)
-	cwc, _ := tileColor(cw, k)
-	ccwc, _ := colorFiber(ccw, k, ccwShift(k))
-	t := &ringTemplate{cw: cw, ccw: ccw, cwColors: cwc, ccwColors: ccwc}
+	cwc, ncw := tileColor(cw, k)
+	ccwc, nccw := colorFiber(ccw, k, ccwShift(k))
+	t := &ringTemplate{cw: cw, ccw: ccw, cwColors: cwc, ccwColors: ccwc, need: max(ncw, nccw)}
 	ringTmplCache.Store(k, t)
 	return t
+}
+
+// LineAllToAll emits the one-shot all-to-all among k positions on a
+// line (§6.1): every ordered pair of indices (src, dst) routed the only
+// way it can go, with its first-fit interval color. Right-going flows
+// come first, each fiber in (src, dst) order. k < 2 emits nothing.
+func LineAllToAll(k int, emit func(src, dst int, dir topo.Direction, color int)) {
+	if k < 2 {
+		return
+	}
+	t := lineTmpl(k)
+	for i, a := range t.right {
+		emit(a.Src, a.Dst, a.Dir, t.rc[i])
+	}
+	for i, a := range t.left {
+		emit(a.Src, a.Dst, a.Dir, t.lc[i])
+	}
 }
 
 // stripeChunk returns piece j of a stripe-way split of the whole
@@ -418,28 +438,17 @@ func stripedGroupA2AInto(buf *Step, groups []group, stripe, base int) {
 	buf.Phase = PhaseAllToAll
 	buf.Transfers = buf.Transfers[:0]
 	for _, g := range groups {
-		if len(g.Members) < 2 {
-			continue
-		}
-		t := lineTmpl(len(g.Members))
-		for i, a := range t.right {
+		LineAllToAll(len(g.Members), func(src, dst int, dir topo.Direction, color int) {
 			appendStriped(buf, Transfer{
-				Src: g.Members[a.Src], Dst: g.Members[a.Dst],
-				Op: tensor.OpSum, Dir: a.Dir,
-			}, t.rc[i], stripe, base)
-		}
-		for i, a := range t.left {
-			appendStriped(buf, Transfer{
-				Src: g.Members[a.Src], Dst: g.Members[a.Dst],
-				Op: tensor.OpSum, Dir: a.Dir,
-			}, t.lc[i], stripe, base)
-		}
+				Src: g.Members[src], Dst: g.Members[dst],
+				Op: tensor.OpSum, Dir: dir,
+			}, color, stripe, base)
+		})
 	}
 }
 
 // stripedRingA2AInto emits the one-shot ring all-to-all among the
-// participants, striped. Stripe 1, base 0 reproduces buildAllToAllStep
-// bit for bit.
+// participants, striped. Stripe 1, base 0 is WRHT's own top exchange.
 func stripedRingA2AInto(buf *Step, reps []int, stripe, base int) {
 	buf.Phase = PhaseAllToAll
 	buf.Transfers = buf.Transfers[:0]

@@ -156,31 +156,6 @@ func TestPhasePlansUncapped(t *testing.T) {
 	}
 }
 
-// TestOneShotStripeOneMatchesLegacy pins that the planner's unstriped
-// one-shot plan reproduces buildAllToAllStep bit for bit, so swapping
-// the legacy exchange for a planned one cannot perturb feasible-regime
-// schedules.
-func TestOneShotStripeOneMatchesLegacy(t *testing.T) {
-	ring := topo.NewRing(40)
-	reps := []int{1, 4, 9, 17, 22, 30, 38}
-	steps, err := BuildPhaseSteps(ring, reps, PhasePlan{Family: "one-shot", TopA2A: true, TopStripe: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(steps) != 1 {
-		t.Fatalf("one-shot emitted %d steps", len(steps))
-	}
-	legacy := buildAllToAllStep(ring, reps)
-	if len(steps[0].Transfers) != len(legacy.Transfers) {
-		t.Fatalf("transfer count %d != legacy %d", len(steps[0].Transfers), len(legacy.Transfers))
-	}
-	for i, tr := range steps[0].Transfers {
-		if tr != legacy.Transfers[i] {
-			t.Fatalf("transfer %d = %+v, legacy %+v", i, tr, legacy.Transfers[i])
-		}
-	}
-}
-
 // TestDefaultPhasePlanBeatsFallback checks the heuristic's economics in
 // the fallback regime: the chosen plan's serialized payload must be
 // strictly below the fallback's 2d (unstriped gather + broadcast)

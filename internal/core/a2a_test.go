@@ -81,7 +81,8 @@ func TestAllToAllStepConflictFree(t *testing.T) {
 	sizes := []int{15, 10, 100, 128}
 	for i, reps := range cases {
 		ring := topo.NewRing(sizes[i])
-		st := buildAllToAllStep(ring, reps)
+		var st Step
+		stripedRingA2AInto(&st, reps, 1, 0)
 		s := &Schedule{Algorithm: "a2a", Ring: ring, Steps: []Step{st}}
 		req := AllToAllRequirement(len(reps))
 		if err := s.Validate(req); err != nil {

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"sort"
-	"sync"
 
-	"wrht/internal/tensor"
 	"wrht/internal/topo"
 )
 
@@ -16,6 +13,10 @@ import (
 // [13]: every ordered pair routes the only way it can, and wavelength
 // assignment is interval-graph coloring, which first-fit by left
 // endpoint solves optimally at the max-cut load ≈ ⌈k²/4⌉.
+//
+// The line is the WRHT stream with that exchange swapped in
+// (newWRHTStream), and the mesh is the torus construction and validator
+// run with line rows and columns (stream2D, validate2D in torus.go).
 
 // lineArc is a directed interval [Lo, Hi) of line segments used by the
 // flow Src→Dst (indices into the participant list).
@@ -78,8 +79,6 @@ func colorLine(arcs []lineArc) ([]int, int) {
 	return colors, used
 }
 
-var lineA2ACache sync.Map // int -> int
-
 // LineAllToAllRequirement returns the wavelength count of the one-stage
 // all-to-all among k nodes on a line: the max-cut load ⌊k/2⌋·⌈k/2⌉ per
 // fiber (first-fit interval coloring is exactly optimal).
@@ -87,173 +86,34 @@ func LineAllToAllRequirement(k int) int {
 	if k <= 1 {
 		return 0
 	}
-	if v, ok := lineA2ACache.Load(k); ok {
-		return v.(int)
-	}
-	right, left := routeLineAllToAll(k)
-	_, nr := colorLine(right)
-	_, nl := colorLine(left)
-	req := nr
-	if nl > req {
-		req = nl
-	}
-	lineA2ACache.Store(k, req)
-	return req
-}
-
-// buildLineAllToAllStep emits the physical one-stage exchange among
-// representatives at the given ascending line positions.
-func buildLineAllToAllStep(reps []int) Step {
-	st := Step{Phase: PhaseAllToAll}
-	right, left := routeLineAllToAll(len(reps))
-	rc, _ := colorLine(right)
-	lc, _ := colorLine(left)
-	emit := func(arcs []lineArc, colors []int) {
-		for i, a := range arcs {
-			st.Transfers = append(st.Transfers, Transfer{
-				Src: reps[a.Src], Dst: reps[a.Dst],
-				Chunk: tensor.Whole, Op: tensor.OpSum,
-				Dir: a.Dir, Wavelength: colors[i],
-			})
-		}
-	}
-	emit(right, rc)
-	emit(left, lc)
-	return st
+	return lineTmpl(k).need
 }
 
 // BuildWRHTLine constructs the WRHT all-reduce on an N-node line (a
 // mesh row): identical grouped gathers, with the line all-to-all in the
-// final reduce step when ⌊m*/2⌋·⌈m*/2⌉ wavelengths fit the budget.
+// final reduce step when ⌊m*/2⌋·⌈m*/2⌉ wavelengths fit the budget. It
+// ignores Strategy and PlanAllToAll.
 func BuildWRHTLine(cfg Config) (*Schedule, error) {
-	if err := cfg.validate(); err != nil {
+	src, err := newWRHTStream(cfg, true)
+	if err != nil {
 		return nil, err
 	}
-	m := cfg.EffectiveGroupSize()
-	s := &Schedule{Algorithm: "wrht-line", Ring: topo.NewRing(cfg.N)}
-	if cfg.N == 1 {
-		return s, nil
-	}
-	participants := make([]int, cfg.N)
-	for i := range participants {
-		participants[i] = i
-	}
-	var levels [][]group
-	for len(participants) > 1 {
-		r := len(participants)
-		if r <= m && !cfg.DisableAllToAll && LineAllToAllRequirement(r) <= cfg.Wavelengths {
-			s.Steps = append(s.Steps, buildLineAllToAllStep(participants))
-			break
-		}
-		groups := partition(participants, m)
-		s.Steps = append(s.Steps, gatherStep(groups, tensor.OpSum))
-		levels = append(levels, groups)
-		next := make([]int, len(groups))
-		for i, g := range groups {
-			next[i] = g.rep()
-		}
-		participants = next
-	}
-	for i := len(levels) - 1; i >= 0; i-- {
-		s.Steps = append(s.Steps, gatherStep(levels[i], tensor.OpCopy))
-	}
-	return s, nil
+	return Collect(src), nil
 }
 
-// BuildWRHTMesh constructs the §6.1 WRHT all-reduce on an R×C mesh: row
-// reduce stages in parallel, a column all-reduce (with the line
-// all-to-all) among the row representatives, and reversed row
-// broadcasts.
+// BuildWRHTMesh constructs the §6.1 WRHT all-reduce on an R×C mesh: the
+// torus construction with line rows and a line column, so the column
+// stage ends in the line all-to-all.
 func BuildWRHTMesh(m topo.Mesh, wavelengths, groupSize int) (*Schedule, error) {
-	s := &Schedule{Algorithm: "wrht-mesh", Ring: topo.NewRing(m.N())}
-	rowCfg := Config{N: m.Cols, Wavelengths: wavelengths, GroupSize: groupSize, DisableAllToAll: true}
-	var rowSteps []Step
-	if m.Cols > 1 {
-		rowSched, err := BuildWRHTLine(rowCfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: mesh row stage: %w", err)
-		}
-		rowSteps = rowSched.Steps
+	src, err := stream2D(topo.Torus(m), wavelengths, groupSize, true)
+	if err != nil {
+		return nil, err
 	}
-	gathers := len(rowSteps) / 2
-	mergeRows := func(tmpl Step) Step {
-		out := Step{Phase: tmpl.Phase}
-		for r := 0; r < m.Rows; r++ {
-			mapped := remapStep(tmpl, func(col int) int { return m.Index(r, col) })
-			out.Transfers = append(out.Transfers, mapped.Transfers...)
-		}
-		return out
-	}
-	for i := 0; i < gathers; i++ {
-		s.Steps = append(s.Steps, mergeRows(rowSteps[i]))
-	}
-	if m.Rows > 1 {
-		repCol := 0
-		if m.Cols > 1 {
-			repCol = rowRepPosition(m.Cols, rowCfg.EffectiveGroupSize())
-		}
-		colCfg := Config{N: m.Rows, Wavelengths: wavelengths, GroupSize: groupSize}
-		if colCfg.GroupSize > m.Rows {
-			colCfg.GroupSize = 0
-		}
-		colSched, err := BuildWRHTLine(colCfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: mesh column stage: %w", err)
-		}
-		for _, st := range colSched.Steps {
-			s.Steps = append(s.Steps, remapStep(st, func(row int) int { return m.Index(row, repCol) }))
-		}
-	}
-	for i := gathers; i < len(rowSteps); i++ {
-		s.Steps = append(s.Steps, mergeRows(rowSteps[i]))
-	}
-	return s, nil
+	return Collect(src), nil
 }
 
-// ValidateMesh checks a mesh schedule: every transfer stays within one
-// row or column, never crosses the (nonexistent) wraparound edge, and
-// the per-line wavelength assignment is conflict-free within the budget.
+// ValidateMesh checks a mesh schedule with the torus validator plus the
+// line rule: no transfer may travel the (nonexistent) wraparound edge.
 func ValidateMesh(s *Schedule, m topo.Mesh, wavelengths int) error {
-	type lineKey struct {
-		row bool
-		idx int
-	}
-	type occ struct {
-		lo, hi, wl int
-	}
-	for si, st := range s.Steps {
-		perLineDir := map[lineKey]map[topo.Direction][]occ{}
-		for ti, tr := range st.Transfers {
-			sr, sc := m.Coord(tr.Src)
-			dr, dc := m.Coord(tr.Dst)
-			var key lineKey
-			var a, b int
-			switch {
-			case sr == dr:
-				key, a, b = lineKey{true, sr}, sc, dc
-			case sc == dc:
-				key, a, b = lineKey{false, sc}, sr, dr
-			default:
-				return fmt.Errorf("core: mesh step %d transfer %d crosses both dimensions: %v", si, ti, tr)
-			}
-			// No wraparound on a line: direction must match index order.
-			if (tr.Dir == topo.CW) != (b > a) {
-				return fmt.Errorf("core: mesh step %d transfer %d travels %v but %d->%d (would need wraparound)", si, ti, tr.Dir, a, b)
-			}
-			if wavelengths > 0 && tr.Wavelength >= wavelengths {
-				return fmt.Errorf("core: mesh step %d transfer %d wavelength %d beyond budget %d", si, ti, tr.Wavelength, wavelengths)
-			}
-			lo, hi := topo.LineSegments(a, b)
-			if perLineDir[key] == nil {
-				perLineDir[key] = map[topo.Direction][]occ{}
-			}
-			for _, other := range perLineDir[key][tr.Dir] {
-				if other.wl == tr.Wavelength && lo < other.hi && other.lo < hi {
-					return fmt.Errorf("core: mesh step %d transfer %d conflicts on λ%d over segments [%d,%d)", si, ti, tr.Wavelength, lo, hi)
-				}
-			}
-			perLineDir[key][tr.Dir] = append(perLineDir[key][tr.Dir], occ{lo, hi, tr.Wavelength})
-		}
-	}
-	return nil
+	return validate2D(s.Source(), topo.Torus(m), wavelengths, true)
 }

@@ -47,6 +47,18 @@ func BuildWRHTSegment(ringN int, participants []int, wavelengths, groupSize int)
 	return s, nil
 }
 
+// remapStep rewrites a step's node ids through the given mapping,
+// keeping chunks, ops, directions and wavelengths.
+func remapStep(st Step, mapID func(int) int) Step {
+	out := Step{Phase: st.Phase, Transfers: make([]Transfer, len(st.Transfers))}
+	for i, t := range st.Transfers {
+		t.Src = mapID(t.Src)
+		t.Dst = mapID(t.Dst)
+		out.Transfers[i] = t
+	}
+	return out
+}
+
 // MergeConcurrent overlays several schedules that are known to use
 // disjoint ring resources (e.g. segment-confined WRHT groups on disjoint
 // spans): step k of the result is the union of every input's step k, and

@@ -212,23 +212,29 @@ func (c CompactStep) ExpandInto(buf *Step, mapID func(int) int) {
 	c.AppendTo(buf, mapID)
 }
 
-// wrhtStream is the streaming producer behind BuildWRHT: the same
-// grouped-gather recursion, emitting one step per Next call into a
-// reused buffer. Retained state is the participant/level structure
-// (O(N·m/(m−1)) ints — the broadcast stage must replay the gather
-// levels in reverse), never the transfers themselves.
+// wrhtStream is the streaming producer behind BuildWRHT and
+// BuildWRHTLine: the grouped-gather recursion, emitting one step per
+// Next call into a reused buffer. Retained state is the
+// participant/level structure (O(N·m/(m−1)) ints — the broadcast stage
+// must replay the gather levels in reverse), never the transfers
+// themselves. The ring and the line differ only in the top exchange,
+// which the stream picks once, when it is built: need is the exchange's
+// wavelength requirement among r participants and exchange emits it.
 type wrhtStream struct {
 	cfg          Config
+	alg          string
 	m            int
 	ring         topo.Ring
-	rng          *rand.Rand
+	need         func(r int) int
+	exchange     func(buf *Step, reps []int)
 	participants []int
 	levels       [][]group
 	phase        int // 0 = reduce, 1 = broadcast, 2 = done
 	bcast        int
 	buf          Step
 	// planSteps/planIdx drive the Config.PlanAllToAll replacement of the
-	// gather fallback: the phase plan's steps, emitted one per Next.
+	// gather fallback: the phase plan's steps, emitted one per Next. The
+	// line never plans.
 	planSteps []Step
 	planIdx   int
 }
@@ -237,12 +243,34 @@ type wrhtStream struct {
 // step-for-step and bit-for-bit identical to BuildWRHT's output
 // (BuildWRHT is Collect over this source).
 func StreamWRHT(cfg Config) (StepSource, error) {
+	return newWRHTStream(cfg, false)
+}
+
+// newWRHTStream builds the WRHT stream on an N-node ring, or on an
+// N-node line (a mesh row or column, §6.1) when line is set. The line
+// has no wraparound fiber: its top exchange is the one-stage line
+// all-to-all, and it ignores Strategy and PlanAllToAll.
+func newWRHTStream(cfg Config, line bool) (StepSource, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	ws := &wrhtStream{cfg: cfg, m: cfg.EffectiveGroupSize(), ring: topo.NewRing(cfg.N)}
-	if cfg.Strategy == rwa.RandomFit {
-		ws.rng = rand.New(rand.NewSource(cfg.Seed))
+	ws := &wrhtStream{cfg: cfg, alg: "wrht", m: cfg.EffectiveGroupSize(), ring: topo.NewRing(cfg.N)}
+	switch {
+	case line:
+		ws.alg, ws.need = "wrht-line", LineAllToAllRequirement
+		ws.cfg.PlanAllToAll = false
+		ws.exchange = func(buf *Step, reps []int) {
+			stripedGroupA2AInto(buf, []group{{Members: reps}}, 1, 0)
+		}
+	case cfg.Strategy == rwa.RandomFit:
+		rng := rand.New(rand.NewSource(cfg.Seed))
+		ws.need = AllToAllRequirement
+		ws.exchange = func(buf *Step, reps []int) {
+			*buf = allToAllStep(ws.ring, reps, cfg.Strategy, rng)
+		}
+	default:
+		ws.need = AllToAllRequirement
+		ws.exchange = func(buf *Step, reps []int) { stripedRingA2AInto(buf, reps, 1, 0) }
 	}
 	if cfg.N == 1 {
 		ws.phase = 2
@@ -255,7 +283,7 @@ func StreamWRHT(cfg Config) (StepSource, error) {
 	return ws, nil
 }
 
-func (ws *wrhtStream) Algorithm() string { return "wrht" }
+func (ws *wrhtStream) Algorithm() string { return ws.alg }
 func (ws *wrhtStream) Ring() topo.Ring   { return ws.ring }
 
 func (ws *wrhtStream) Next() (*Step, bool) {
@@ -263,37 +291,38 @@ func (ws *wrhtStream) Next() (*Step, bool) {
 	case 0:
 		if len(ws.participants) > 1 {
 			r := len(ws.participants)
-			if r <= ws.m && !ws.cfg.DisableAllToAll && AllToAllRequirement(r) <= ws.cfg.Wavelengths {
-				// Final exchange among the surviving representatives; the
-				// topmost gather level then needs no broadcast counterpart.
-				if ws.cfg.Strategy == rwa.RandomFit {
-					ws.buf = allToAllStep(ws.ring, ws.participants, ws.cfg.Strategy, ws.rng)
-				} else {
-					ws.buf = buildAllToAllStep(ws.ring, ws.participants)
+			// The requirement is computed only once r <= m: routing the
+			// exchange among all N nodes would cost O(N²) arcs.
+			if r <= ws.m && !ws.cfg.DisableAllToAll {
+				if ws.need(r) <= ws.cfg.Wavelengths {
+					// Final exchange among the surviving representatives;
+					// the topmost gather level then needs no broadcast
+					// counterpart.
+					ws.exchange(&ws.buf, ws.participants)
+					ws.phase, ws.bcast = 1, len(ws.levels)-1
+					return &ws.buf, true
 				}
-				ws.phase, ws.bcast = 1, len(ws.levels)-1
-				return &ws.buf, true
-			}
-			if r <= ws.m && !ws.cfg.DisableAllToAll && ws.cfg.PlanAllToAll {
-				// One-shot all-to-all over budget: carry the exchange
-				// over the default multi-round reconfiguration plan
-				// instead of gathering to a single root.
-				if ws.planSteps == nil {
-					plan, ok := DefaultPhasePlan(r, ws.cfg.Wavelengths)
-					if ok {
-						steps, err := BuildPhaseSteps(ws.ring, ws.participants, plan)
-						if err == nil {
-							ws.planSteps = steps
+				if ws.cfg.PlanAllToAll {
+					// One-shot all-to-all over budget: carry the exchange
+					// over the default multi-round reconfiguration plan
+					// instead of gathering to a single root.
+					if ws.planSteps == nil {
+						plan, ok := DefaultPhasePlan(r, ws.cfg.Wavelengths)
+						if ok {
+							steps, err := BuildPhaseSteps(ws.ring, ws.participants, plan)
+							if err == nil {
+								ws.planSteps = steps
+							}
 						}
 					}
-				}
-				if ws.planIdx < len(ws.planSteps) {
-					st := &ws.planSteps[ws.planIdx]
-					ws.planIdx++
-					if ws.planIdx == len(ws.planSteps) {
-						ws.phase, ws.bcast = 1, len(ws.levels)-1
+					if ws.planIdx < len(ws.planSteps) {
+						st := &ws.planSteps[ws.planIdx]
+						ws.planIdx++
+						if ws.planIdx == len(ws.planSteps) {
+							ws.phase, ws.bcast = 1, len(ws.levels)-1
+						}
+						return st, true
 					}
-					return st, true
 				}
 			}
 			groups := partition(ws.participants, ws.m)

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"wrht/internal/tensor"
 	"wrht/internal/topo"
 )
 
@@ -53,5 +54,32 @@ func TestValidateTorusRejectsDiagonal(t *testing.T) {
 	}}}
 	if err := ValidateTorus(s, tor, 0); err == nil {
 		t.Fatal("diagonal transfer accepted")
+	}
+}
+
+// TestValidate2DRejectsMalformedTransfers runs the per-transfer checks
+// the ring validator applies through both 2-D validators: every row
+// must be rejected by ValidateTorus and by ValidateMesh.
+func TestValidate2DRejectsMalformedTransfers(t *testing.T) {
+	tor := topo.NewTorus(2, 5)
+	cases := []struct {
+		name string
+		tr   Transfer
+	}{
+		{"node outside grid", Transfer{Src: 0, Dst: 20, Chunk: whole(), Dir: topo.CW}},
+		{"negative node", Transfer{Src: -1, Dst: 4, Chunk: whole(), Dir: topo.CW}},
+		{"invalid chunk", Transfer{Src: 0, Dst: 1, Chunk: tensor.Chunk{Index: 5, Of: 2}, Dir: topo.CW}},
+		{"self transfer cw", Transfer{Src: 3, Dst: 3, Chunk: whole(), Dir: topo.CW}},
+		{"self transfer ccw", Transfer{Src: 3, Dst: 3, Chunk: whole(), Dir: topo.CCW}},
+		{"negative wavelength", Transfer{Src: 0, Dst: 1, Chunk: whole(), Dir: topo.CW, Wavelength: -1}},
+	}
+	for _, c := range cases {
+		s := &Schedule{Ring: topo.NewRing(tor.N()), Steps: []Step{{Transfers: []Transfer{c.tr}}}}
+		if err := ValidateTorus(s, tor, 0); err == nil {
+			t.Errorf("%s: ValidateTorus accepted %v", c.name, c.tr)
+		}
+		if err := ValidateMesh(s, topo.Mesh(tor), 0); err == nil {
+			t.Errorf("%s: ValidateMesh accepted %v", c.name, c.tr)
+		}
 	}
 }

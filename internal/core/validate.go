@@ -50,13 +50,7 @@ func (v *StepValidator) Step(st *Step) error {
 	rangeBad := false
 	for ti := range st.Transfers {
 		t := &st.Transfers[ti]
-		if t.Src < 0 || t.Src >= n || t.Dst < 0 || t.Dst >= n {
-			return fmt.Errorf("core: step %d transfer %d: node out of range: %v", si, ti, *t)
-		}
-		if t.Src == t.Dst {
-			return fmt.Errorf("core: step %d transfer %d: self transfer: %v", si, ti, *t)
-		}
-		if err := t.Chunk.Validate(); err != nil {
+		if err := checkTransfer(t, n); err != nil {
 			return fmt.Errorf("core: step %d transfer %d: %w", si, ti, err)
 		}
 		v.next = append(v.next, rwa.Circuit{Dir: t.Dir, Arc: v.ring.ArcOf(t.Src, t.Dst, t.Dir), W: t.Wavelength})
@@ -97,6 +91,19 @@ func (v *StepValidator) Step(st *Step) error {
 	// step's circuits, which is all the next diff needs.
 	v.prev, v.next = v.next, v.prev
 	return nil
+}
+
+// checkTransfer applies the per-transfer checks every validator shares:
+// both endpoints inside the n-node id space, no self transfer and a
+// well-formed chunk.
+func checkTransfer(t *Transfer, n int) error {
+	if t.Src < 0 || t.Src >= n || t.Dst < 0 || t.Dst >= n {
+		return fmt.Errorf("node out of range: %v", *t)
+	}
+	if t.Src == t.Dst {
+		return fmt.Errorf("self transfer: %v", *t)
+	}
+	return t.Chunk.Validate()
 }
 
 // ValidateSource drains a StepSource through a StepValidator: the

@@ -177,6 +177,12 @@ func TestBuildRejectsMisdirectedOptions(t *testing.T) {
 		{"torus-dims-mismatch", "n=64", func() (*core.Schedule, error) {
 			return wrht.Build(wrht.KindTorus, 64, wrht.WithDims(4, 8), wrht.WithWavelengths(4))
 		}},
+		{"torus-negative-dims", "WithDims(-2, -32)", func() (*core.Schedule, error) {
+			return wrht.Build(wrht.KindTorus, 64, wrht.WithDims(-2, -32))
+		}},
+		{"mesh-zero-dims", "WithDims(0, 5)", func() (*core.Schedule, error) {
+			return wrht.Build(wrht.KindMesh, 0, wrht.WithDims(0, 5))
+		}},
 		{"segment-without-participants", "WithParticipants", func() (*core.Schedule, error) {
 			return wrht.Build(wrht.KindSegment, 64, wrht.WithWavelengths(4))
 		}},
